@@ -7,9 +7,11 @@
 // count, frames and bytes in each direction, handshake latency) before
 // shutting down.
 //
-// With -fault-rate, the proxy deterministically injects frame drops,
-// resets, and truncations at the given per-frame rate — a chaos mode
-// for exercising reconnecting clients against a flaky bridge.
+// With -fault-rate, the proxy deterministically injects faults at the
+// given per-frame rate — a chaos mode for exercising reconnecting
+// clients against a flaky bridge. Plain connections see frame drops,
+// resets and truncated frames; mux sessions see only what TCP can do:
+// connection resets and truncation mid-frame.
 //
 // With -ops, a live ops server exposes /metrics (Prometheus text),
 // /debug/flight (recent connections, frames, and injected faults), and
@@ -34,7 +36,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8081", "WebSocket listen address")
 	target := flag.String("target", "", "TCP target address (host:port)")
 	metrics := flag.Bool("metrics", false, "print a telemetry metrics snapshot on shutdown")
-	faultRate := flag.Float64("fault-rate", 0, "per-frame fault injection rate: drops and resets at this rate, truncations at half of it (0 disables)")
+	faultRate := flag.Float64("fault-rate", 0, "per-frame fault injection rate (0 disables): plain mode drops or resets at this rate and truncates frames at half of it; mux mode resets the connection at this rate and cuts it mid-frame at half of it")
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the -fault-rate fault sequence")
 	opsAddr := flag.String("ops", "", "serve the live ops endpoints (/metrics, /debug/sock, /debug/flight, pprof, ...) on this address, e.g. :6060")
 	flightCap := flag.Int("flight", 0, "enable the flight recorder (connection/frame/fault events) with this event capacity (0 disables; -ops enables it at the default capacity)")

@@ -89,11 +89,8 @@ type SockArm struct {
 	P99  time.Duration `json:"p99_ns"`
 	P999 time.Duration `json:"p999_ns"`
 	// Lost counts streams whose echo came back short, corrupt, or
-	// errored — must be zero (go-back-N repairs the data plane).
+	// errored — must be zero on the lossless soak transport.
 	Lost int64 `json:"lost"`
-	// Retransmits is the client sessions' go-back-N resend total (mux
-	// arm only; zero on a clean transport).
-	Retransmits int64 `json:"retransmits"`
 }
 
 // SockPoint compares both arms at one connection count.
@@ -284,7 +281,6 @@ func runSockArm(p SockParams, n int, mux bool) (SockArm, error) {
 	start := time.Now()
 
 	if mux {
-		var retx atomic.Int64
 		for s0 := 0; s0 < n; s0 += p.StreamsPerConn {
 			count := p.StreamsPerConn
 			if s0+count > n {
@@ -298,10 +294,7 @@ func runSockArm(p SockParams, n int, mux bool) (SockArm, error) {
 					lost.Add(int64(count))
 					return
 				}
-				defer func() {
-					retx.Add(m.Stats().Retransmits)
-					closeSess()
-				}()
+				defer closeSess()
 				var sw sync.WaitGroup
 				for i := 0; i < count; i++ {
 					sw.Add(1)
@@ -316,7 +309,6 @@ func runSockArm(p SockParams, n int, mux bool) (SockArm, error) {
 			}(s0, count)
 		}
 		wg.Wait()
-		arm.Retransmits = retx.Load()
 	} else {
 		for i := 0; i < n; i++ {
 			wg.Add(1)
@@ -563,8 +555,7 @@ func FormatSock(r *SockResult) string {
 	for _, pt := range r.Points {
 		arm(pt.Conns, pt.Plain)
 		arm(pt.Conns, pt.Mux)
-		fmt.Fprintf(&b, "  %6s  plain/mux p50 ×%.3g, mux retransmits %d\n",
-			"", pt.P50Ratio, pt.Mux.Retransmits)
+		fmt.Fprintf(&b, "  %6s  plain/mux p50 ×%.3g\n", "", pt.P50Ratio)
 	}
 	fmt.Fprintf(&b, "  shed: depth %d — %d/%d refused overloaded, %d/%d admitted after recovery, gateway shed=%d pauses=%d\n",
 		r.Shed.ShedDepth, r.Shed.Shed, r.Shed.Attempted,

@@ -52,9 +52,8 @@ func (s *Server) handleSock(w http.ResponseWriter, r *http.Request) {
 		st := g.Stats
 		fmt.Fprintf(w, "streams: opened=%d accepted=%d shed=%d resets=%d\n",
 			st.Opened, st.Accepted, st.Shed, st.Resets)
-		fmt.Fprintf(w, "data: in=%d frames/%d B  out=%d frames/%d B  retx=%d dupacks=%d truncated=%d credits=%d\n",
-			st.DataIn, st.BytesIn, st.DataOut, st.BytesOut,
-			st.Retransmits, st.DupAcks, st.Truncated, st.Credits)
+		fmt.Fprintf(w, "data: in=%d frames/%d B  out=%d frames/%d B  credits=%d\n",
+			st.DataIn, st.BytesIn, st.DataOut, st.BytesOut, st.Credits)
 		if g.Faults.Ops > 0 {
 			f := g.Faults
 			fmt.Fprintf(w, "faults: ops=%d drops=%d resets=%d shorts=%d delays=%d\n",

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
@@ -23,20 +22,17 @@ import (
 //
 // arg is the kind's argument: the advertised receive window (SYN,
 // SYNACK), the cumulative byte offset of the payload's first byte
-// (DATA), the cumulative bytes received (ACK), a credit delta
-// (CREDIT), the stream's final length (FIN), or a reset code (RST).
-// dlen is the declared payload length; a DATA frame whose payload
-// arrives shorter than its dlen was truncated in flight and is
-// treated as lost.
+// (DATA), a credit delta (CREDIT), the stream's final length (FIN),
+// or a reset code (RST). dlen is the declared payload length.
 //
-// DATA frames ride a go-back-N ARQ: the receiver accepts only the
-// next in-order offset, acknowledges cumulatively, and duplicate ACKs
-// (plus a retransmission timer) drive resends — which is what makes N
-// muxed streams byte-identical to N plain connections even under the
-// fault injector's 10% frame drop/truncate. Control frames are the
-// reliable plane: the fault boundary (faultLink, gateway injector)
-// only ever drops or truncates DATA frames, mirroring how real
-// networks lose payloads, not the session's existence.
+// The session rides one WebSocket over TCP, which is already reliable
+// and ordered, so the mux does no repair of its own: a sender forgets
+// bytes once they are on the wire, and a DATA frame whose offset is
+// not the next expected one, or whose payload length differs from its
+// dlen, is a protocol violation that resets the stream with EPROTO.
+// Real losses are connection-level — a reset, a truncation mid-frame,
+// a stall — and kill the whole session; the reconnecting client then
+// starts a fresh one and its streams fail with ECONNRESET (transient).
 //
 // Offsets are uint32 and do not wrap: a stream carries at most ~4 GiB
 // and is reset with EPROTO past that — a documented limit, not a
@@ -55,7 +51,7 @@ const (
 	muxData   byte = 0x0
 	muxSyn    byte = 0x1
 	muxSynAck byte = 0x2
-	muxAck    byte = 0x3
+	// 0x3 is unassigned: a frame of that kind fails the session.
 	muxCredit byte = 0x4
 	muxFin    byte = 0x5
 	muxRst    byte = 0x6
@@ -118,12 +114,6 @@ func IsShed(err error) bool {
 	return vfs.IsErrno(err, vfs.EAGAIN)
 }
 
-// MuxIsData reports whether a mux frame (a WS binary payload) is a
-// DATA frame — the only kind the fault boundary may drop or truncate.
-func MuxIsData(frame []byte) bool {
-	return len(frame) >= MuxHeaderLen && frame[4] == muxData
-}
-
 func muxHeader(id uint32, kind byte, arg, dlen uint32) []byte {
 	h := make([]byte, MuxHeaderLen)
 	binary.BigEndian.PutUint32(h[0:4], id)
@@ -137,12 +127,7 @@ func muxHeader(id uint32, kind byte, arg, dlen uint32) []byte {
 const (
 	defaultWindow     = 64 << 10
 	defaultMaxStreams = 1024
-	defaultRTO        = 50 * time.Millisecond
 	maxDataChunk      = 16 << 10
-	// minRetxGap rate-limits duplicate-ACK fast retransmits so a burst
-	// of dup ACKs (one per out-of-order frame) resends the window once,
-	// not once per ACK.
-	minRetxGap = 2 * time.Millisecond
 	// maxStreamBytes caps a stream's cumulative offset below uint32
 	// wrap; past it the stream resets with EPROTO.
 	maxStreamBytes = 1<<32 - 1 - (64 << 20)
@@ -162,8 +147,6 @@ type MuxConfig struct {
 	// MaxStreams caps concurrently open streams; a SYN past the cap is
 	// shed with RST(EAGAIN). 0 means 1024.
 	MaxStreams int
-	// RTO is the go-back-N retransmission timeout; 0 means 50 ms.
-	RTO time.Duration
 	// AcceptStream, when non-nil, receives each incoming SYN (server
 	// role). The handler must call st.Accept or st.Reject. A session
 	// without it rejects all SYNs with ECONNREFUSED.
@@ -181,26 +164,25 @@ type muxFrame struct {
 }
 
 type muxTel struct {
-	streams, shed, resets, retransmits *telemetry.Counter
-	dataIn, dataOut                    *telemetry.Counter
+	streams, shed, resets *telemetry.Counter
+	dataIn, dataOut       *telemetry.Counter
 }
 
 func newMuxTel(h *telemetry.Hub) muxTel {
 	if h == nil {
 		return muxTel{
 			streams: &telemetry.Counter{}, shed: &telemetry.Counter{},
-			resets: &telemetry.Counter{}, retransmits: &telemetry.Counter{},
+			resets: &telemetry.Counter{},
 			dataIn: &telemetry.Counter{}, dataOut: &telemetry.Counter{},
 		}
 	}
 	reg := h.Registry
 	return muxTel{
-		streams:     reg.Counter("sockmux", "streams"),
-		shed:        reg.Counter("sockmux", "shed"),
-		resets:      reg.Counter("sockmux", "resets"),
-		retransmits: reg.Counter("sockmux", "retransmits"),
-		dataIn:      reg.Counter("sockmux", "data_frames_in"),
-		dataOut:     reg.Counter("sockmux", "data_frames_out"),
+		streams: reg.Counter("sockmux", "streams"),
+		shed:    reg.Counter("sockmux", "shed"),
+		resets:  reg.Counter("sockmux", "resets"),
+		dataIn:  reg.Counter("sockmux", "data_frames_in"),
+		dataOut: reg.Counter("sockmux", "data_frames_out"),
 	}
 }
 
@@ -211,11 +193,10 @@ type MuxStats struct {
 	Accepted    int64 // streams accepted from the peer
 	Shed        int64 // SYNs refused for load (cap or handler reject)
 	Resets      int64 // RST frames sent or received
-	Retransmits int64 // go-back-N resends (dup-ACK + RTO)
-	DupAcks     int64 // duplicate ACKs received
-	Truncated   int64 // DATA frames dropped for a dlen mismatch
-	DataIn      int64 // DATA frames accepted in order
-	DataOut     int64 // DATA frames first-transmitted
+	Retransmits int64 // always zero: the mux never resends
+	DupAcks     int64 // always zero: the mux sends no ACK frames
+	DataIn      int64 // DATA frames accepted
+	DataOut     int64 // DATA frames transmitted
 	BytesIn     int64
 	BytesOut    int64
 	Credits     int64 // CREDIT frames sent
@@ -239,13 +220,12 @@ type Mux struct {
 	dead    bool
 	deadErr error
 	stats   MuxStats
-
-	tickStop chan struct{}
 }
 
 // NewMux starts a session endpoint over the given transport send
-// function. The caller feeds incoming WS binary payloads to
-// HandleFrame and must call CloseSession when the transport dies.
+// function; its only goroutine is the frame writer. The caller feeds
+// incoming WS binary payloads to HandleFrame and must call
+// CloseSession when the transport dies.
 func NewMux(cfg MuxConfig) *Mux {
 	if cfg.Window <= 0 {
 		cfg.Window = defaultWindow
@@ -253,20 +233,15 @@ func NewMux(cfg MuxConfig) *Mux {
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = defaultMaxStreams
 	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = defaultRTO
-	}
 	m := &Mux{
-		cfg:      cfg,
-		tel:      newMuxTel(cfg.Hub),
-		streams:  make(map[uint32]*MuxStream),
-		nextID:   1,
-		tickStop: make(chan struct{}),
+		cfg:     cfg,
+		tel:     newMuxTel(cfg.Hub),
+		streams: make(map[uint32]*MuxStream),
+		nextID:  1,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.outCond = sync.NewCond(&m.mu)
 	go m.writeLoop()
-	go m.retxLoop()
 	return m
 }
 
@@ -298,31 +273,28 @@ type MuxStream struct {
 	state  int
 	err    *StreamError
 
-	// Sender: sendBuf holds written bytes not yet acknowledged;
-	// sendBase is the stream offset of sendBuf[0]; the first sentLen
-	// bytes of sendBuf have been transmitted at least once (credit
-	// spent); the rest await window. DATA payloads alias sendBuf — the
-	// single copy of user data is the append into sendBuf, everything
-	// downstream (retransmits included) is a re-slice.
+	// Sender: sendBuf holds written bytes awaiting window; sendBase is
+	// the stream offset of sendBuf[0], which is also the count of bytes
+	// already sent. DATA payloads alias sendBuf — the single copy of
+	// user data is the append into sendBuf, everything downstream is a
+	// re-slice.
 	sw         sendWindow
 	sendBuf    []byte
 	sendBase   uint32
-	sentLen    int
-	lastSend   time.Time
-	lastRetx   time.Time
+	sendWaits  int // WriteBlocking callers parked on sendBase
 	finSent    bool
 	finAt      uint32
 	writeWaits []writeWait
 
 	// Receiver.
-	rw       recvWindow
-	recvBuf  []byte
-	recvNext uint32
-	finRecv  bool
+	rw        recvWindow
+	recvBuf   []byte
+	recvNext  uint32
+	finRecv   bool
 	finRecvAt uint32
 
-	readable func()          // persistent data/EOF/error notification
-	opened   func(err error) // one-shot open/refuse notification
+	readable  func()          // persistent data/EOF/error notification
+	opened    func(err error) // one-shot open/refuse notification
 	openFired bool
 }
 
@@ -379,73 +351,31 @@ func (m *Mux) writeLoop() {
 	}
 }
 
-// retxLoop is the go-back-N timer: it scans for streams whose oldest
-// unacked byte has outlived the RTO and resends from the base.
-func (m *Mux) retxLoop() {
-	t := time.NewTicker(m.cfg.RTO / 2)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.tickStop:
-			return
-		case <-t.C:
-		}
-		m.mu.Lock()
-		now := time.Now()
-		for _, st := range m.streams {
-			if st.sentLen > 0 && now.Sub(st.lastSend) > m.cfg.RTO {
-				m.retransmit(st, now)
-			}
-		}
-		m.mu.Unlock()
-	}
-}
-
-// retransmit resends the transmitted-but-unacked prefix. Lock held.
-func (m *Mux) retransmit(st *MuxStream, now time.Time) {
-	for off := 0; off < st.sentLen; off += maxDataChunk {
-		end := off + maxDataChunk
-		if end > st.sentLen {
-			end = st.sentLen
-		}
-		chunk := st.sendBuf[off:end]
-		m.enqueue(muxHeader(st.id, muxData, st.sendBase+uint32(off), uint32(len(chunk))), chunk)
-	}
-	st.lastSend = now
-	st.lastRetx = now
-	m.stats.Retransmits++
-	m.tel.retransmits.Inc()
-}
-
-// pump transmits whatever the window permits and fires Write
-// completions whose bytes are fully admitted. Lock held; returns
-// callbacks to run after unlock.
+// pump transmits whatever the window permits, drops the sent bytes
+// from sendBuf, and fires Write completions whose bytes are all sent.
+// Lock held; returns callbacks to run after unlock.
 func (m *Mux) pump(st *MuxStream) []func() {
 	if st.state != stOpen && st.state != stSynSent {
 		return nil
 	}
-	for st.sentLen < len(st.sendBuf) {
-		want := len(st.sendBuf) - st.sentLen
-		if want > maxDataChunk {
-			want = maxDataChunk
-		}
-		n := st.sw.take(want)
+	sent := false
+	for len(st.sendBuf) > 0 {
+		n := st.sw.take(min(len(st.sendBuf), maxDataChunk))
 		if n == 0 {
 			break
 		}
-		chunk := st.sendBuf[st.sentLen : st.sentLen+n]
-		m.enqueue(muxHeader(st.id, muxData, st.sendBase+uint32(st.sentLen), uint32(n)), chunk)
-		st.sentLen += n
-		st.lastSend = time.Now()
+		m.enqueue(muxHeader(st.id, muxData, st.sendBase, uint32(n)), st.sendBuf[:n])
+		st.sendBuf = st.sendBuf[n:]
+		st.sendBase += uint32(n)
+		sent = true
 		m.stats.DataOut++
 		m.stats.BytesOut += int64(n)
 		m.tel.dataOut.Inc()
 	}
-	admitted := st.sendBase + uint32(st.sentLen)
 	var fire []func()
 	kept := st.writeWaits[:0]
 	for _, w := range st.writeWaits {
-		if w.at <= admitted {
+		if w.at <= st.sendBase {
 			done := w.done
 			fire = append(fire, func() { done(nil) })
 		} else {
@@ -453,8 +383,11 @@ func (m *Mux) pump(st *MuxStream) []func() {
 		}
 	}
 	st.writeWaits = kept
-	if len(fire) > 0 {
-		m.cond.Broadcast()
+	if sent {
+		if st.sendWaits > 0 {
+			m.cond.Broadcast()
+		}
+		m.maybeReapLocked(st)
 	}
 	return fire
 }
@@ -576,7 +509,7 @@ func (st *MuxStream) Reject(code vfs.Errno) {
 }
 
 // Write queues p for transmission and calls done(nil) once every byte
-// has been admitted to the flow-control window (transmitted once). A
+// has been admitted to the flow-control window and sent. A
 // zero-window stream holds the completion until the peer grants
 // credit — the backpressure the tests pin down. done(err) reports a
 // reset stream.
@@ -646,10 +579,12 @@ func (st *MuxStream) WriteBlocking(p []byte) error {
 		if st.state == stClosed {
 			return ErrSocketClosed
 		}
-		if st.sendBase+uint32(st.sentLen) >= target || target <= st.sendBase {
+		if st.sendBase >= target {
 			return nil
 		}
+		st.sendWaits++
 		m.cond.Wait()
+		st.sendWaits--
 	}
 }
 
@@ -837,11 +772,11 @@ func (m *Mux) killLocked(st *MuxStream, code vfs.Errno) []func() {
 	return fns
 }
 
-// maybeReapLocked removes a stream whose both directions finished, so
-// the session map does not grow without bound.
+// maybeReapLocked removes a stream whose both directions finished —
+// every byte sent, FIN sent, and the peer's FIN read — so the session
+// map does not grow without bound.
 func (m *Mux) maybeReapLocked(st *MuxStream) {
-	if st.finSent && st.sendBase == st.finAt && len(st.sendBuf) == 0 &&
-		st.finRecv && st.atEOFLocked() {
+	if st.finSent && len(st.sendBuf) == 0 && st.finRecv && st.atEOFLocked() {
 		st.state = stClosed
 		delete(m.streams, st.id)
 	}
@@ -885,10 +820,6 @@ func (m *Mux) HandleFrame(b []byte) {
 			break
 		}
 		fns = m.handleData(st, arg, dlen, payload)
-	case muxAck:
-		if st != nil {
-			fns = m.handleAck(st, arg)
-		}
 	case muxCredit:
 		if st != nil {
 			st.sw.grant(int(arg))
@@ -925,12 +856,12 @@ func (m *Mux) HandleFrame(b []byte) {
 func (m *Mux) handleSyn(id uint32, window uint32) []func() {
 	if dup := m.streams[id]; dup != nil {
 		if dup.remote {
-			return nil // retransmitted SYN; control frames are reliable, ignore
+			return nil // a duplicate SYN for a stream already admitted
 		}
 		// The peer's SYN collides with a stream *we* opened: both
 		// sides are allocating from the same id space. Reject loudly
-		// as a protocol violation instead of silently treating it as
-		// a retransmit and desyncing the two endpoints' stream maps.
+		// as a protocol violation instead of silently ignoring it and
+		// desyncing the two endpoints' stream maps.
 		m.enqueue(muxHeader(id, muxRst, rstProto, 0), nil)
 		m.stats.Resets++
 		m.tel.resets.Inc()
@@ -955,33 +886,18 @@ func (m *Mux) handleSyn(id uint32, window uint32) []func() {
 	return []func(){func() { accept(st) }}
 }
 
-// handleData runs the receiver side of go-back-N. Lock held.
+// handleData appends one DATA frame to the receive buffer. Over an
+// ordered transport every frame starts at recvNext and carries exactly
+// dlen bytes; anything else is a protocol violation. Lock held.
 func (m *Mux) handleData(st *MuxStream, seq, dlen uint32, payload []byte) []func() {
-	if int(dlen) != len(payload) {
-		// Truncated in flight: treat as loss, solicit a resend.
-		m.stats.Truncated++
-		m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
-		return nil
+	if seq != st.recvNext || int(dlen) != len(payload) {
+		return m.resetLocked(st, vfs.EPROTO, true)
 	}
-	n := uint32(len(payload))
-	accept := payload
-	switch {
-	case seq == st.recvNext:
-		// In order.
-	case seq < st.recvNext && seq+n > st.recvNext:
-		// Overlapping retransmit: keep the unseen tail.
-		accept = payload[st.recvNext-seq:]
-	default:
-		// A gap (or a fully stale duplicate): drop, dup-ACK.
-		m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
-		return nil
-	}
-	st.recvBuf = append(st.recvBuf, accept...)
-	st.recvNext += uint32(len(accept))
+	st.recvBuf = append(st.recvBuf, payload...)
+	st.recvNext += dlen
 	m.stats.DataIn++
-	m.stats.BytesIn += int64(len(accept))
+	m.stats.BytesIn += int64(dlen)
 	m.tel.dataIn.Inc()
-	m.enqueue(muxHeader(st.id, muxAck, st.recvNext, 0), nil)
 	// A peer that overruns its credit by more than a full window is
 	// violating the protocol, not just racing a grant.
 	if len(st.recvBuf) > 2*st.rw.window+maxDataChunk {
@@ -990,33 +906,6 @@ func (m *Mux) handleData(st *MuxStream, seq, dlen uint32, payload []byte) []func
 	m.cond.Broadcast()
 	if st.readable != nil {
 		return []func(){st.readable}
-	}
-	return nil
-}
-
-// handleAck advances the sender base or fast-retransmits. Lock held.
-func (m *Mux) handleAck(st *MuxStream, cum uint32) []func() {
-	switch {
-	case cum > st.sendBase:
-		drop := int(cum - st.sendBase)
-		if drop > st.sentLen {
-			return m.resetLocked(st, vfs.EPROTO, true)
-		}
-		st.sendBuf = st.sendBuf[drop:]
-		st.sentLen -= drop
-		st.sendBase = cum
-		m.cond.Broadcast()
-		fns := m.pump(st)
-		m.maybeReapLocked(st)
-		return fns
-	case cum == st.sendBase && st.sentLen > 0:
-		// Duplicate ACK: the peer is missing our base. Fast
-		// retransmit, rate-limited.
-		m.stats.DupAcks++
-		now := time.Now()
-		if now.Sub(st.lastRetx) >= minRetxGap {
-			m.retransmit(st, now)
-		}
 	}
 	return nil
 }
@@ -1039,7 +928,6 @@ func (m *Mux) fail(err error) {
 	m.outCond.Broadcast()
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	close(m.tickStop) // first fail only: guarded by m.dead above
 	run(fns)
 	if m.cfg.OnClose != nil {
 		m.cfg.OnClose(err)
@@ -1062,7 +950,7 @@ type StreamSnapshot struct {
 	ID           uint32 `json:"id"`
 	State        string `json:"state"`
 	SendWindow   int    `json:"send_window"`   // unspent credit
-	SendQueued   int    `json:"send_queued"`   // bytes unacked or awaiting window
+	SendQueued   int    `json:"send_queued"`   // bytes awaiting window
 	RecvBuffered int    `json:"recv_buffered"` // bytes awaiting the consumer
 	Paused       bool   `json:"paused"`        // credit withheld (shedding)
 }
@@ -1105,9 +993,6 @@ func (s *MuxStats) Add(b MuxStats) {
 	s.Accepted += b.Accepted
 	s.Shed += b.Shed
 	s.Resets += b.Resets
-	s.Retransmits += b.Retransmits
-	s.DupAcks += b.DupAcks
-	s.Truncated += b.Truncated
 	s.DataIn += b.DataIn
 	s.DataOut += b.DataOut
 	s.BytesIn += b.BytesIn

@@ -8,7 +8,6 @@ import (
 	"doppio/internal/eventloop"
 	"doppio/internal/telemetry"
 	"doppio/internal/vfs"
-	"doppio/internal/vfs/faultfs"
 	"doppio/internal/vfs/retry"
 )
 
@@ -17,14 +16,13 @@ import (
 // connection is assembled by Stack with the same enforced-decorator-
 // order discipline as vfs.Stack:
 //
-//	transport (ws | reconnecting ws) → faults → telemetry (outermost),
+//	transport (ws | reconnecting ws) → telemetry (outermost),
 //	with the mux session — when enabled — consuming the whole chain.
 //
-// The ordering is load-bearing: faults sit directly on the transport
-// so they model the network (the mux's go-back-N above them must
-// absorb them, exactly like VFS retry absorbs faultfs); telemetry
-// sits outermost so its counters see what the application sees.
-// Options are order-independent; Find walks the chain.
+// Telemetry sits outermost so its counters see what the application
+// sees. Options are order-independent; Find walks the chain. Faults
+// live at the gateway (GatewayOptions.Faults), which injects in both
+// directions.
 
 // Link is one layer of the client transport chain: it sends one
 // message (the concatenation of parts, zero-copy where the transport
@@ -42,7 +40,7 @@ type LinkUnwrapper interface {
 }
 
 // Find walks a link chain outermost-in (via Unwrap) and returns the
-// first layer satisfying T — a concrete type like *FaultLink, or a
+// first layer satisfying T — a concrete type like *TelLink, or a
 // capability interface.
 func Find[T any](l Link) (T, bool) {
 	for l != nil {
@@ -75,9 +73,6 @@ type stackConfig struct {
 	mux       bool
 	maxStream int
 	window    int
-	rto       time.Duration
-	plan      *faultfs.Plan
-	inj       *faultfs.Injector
 	hub       *telemetry.Hub
 	shedFn    func() int
 	shedDepth int
@@ -109,24 +104,6 @@ func WithMux(n int) Option {
 // the gateway; 0 means 64 KiB. Only meaningful with WithMux.
 func WithWindow(bytes int) Option {
 	return func(c *stackConfig) { c.window = bytes }
-}
-
-// WithRTO overrides the mux retransmission timeout (tests).
-func WithRTO(d time.Duration) Option {
-	return func(c *stackConfig) { c.rto = d }
-}
-
-// WithFaults adds the fault-injection layer directly above the
-// transport. In mux mode faults hit only DATA frames (drop/truncate,
-// both repaired by go-back-N); in plain mode they hit whole messages.
-func WithFaults(plan faultfs.Plan) Option {
-	return func(c *stackConfig) { c.plan = &plan }
-}
-
-// WithInjector is WithFaults with a caller-owned injector, for tests
-// that share one decision sequence across stacks.
-func WithInjector(inj *faultfs.Injector) Option {
-	return func(c *stackConfig) { c.inj = inj }
 }
 
 // WithTelemetry instruments the stack (outermost): frame/byte
@@ -192,67 +169,11 @@ func concat(parts [][]byte) []byte {
 	return out
 }
 
-// FaultLink injects deterministic faults on the client side of the
-// data path — the peer of the gateway's injector. Recover it from a
-// Conn with Find[*FaultLink] to read its Stats.
-type FaultLink struct {
-	inner Link
-	inj   *faultfs.Injector
-	mux   bool
-}
-
-// Unwrap exposes the wrapped layer.
-func (l *FaultLink) Unwrap() Link { return l.inner }
-
-// Stats snapshots the injector's decision counters.
-func (l *FaultLink) Stats() faultfs.Stats { return l.inj.Stats() }
-
-func (l *FaultLink) Send(parts ...[]byte) error {
-	if l.mux {
-		hdr := parts[0]
-		payload := []byte(nil)
-		if len(parts) > 1 {
-			payload = parts[1]
-		}
-		out, forward := applyMuxFault(l.inj, "out", hdr, payload)
-		if !forward {
-			return nil
-		}
-		return l.inner.Send(hdr, out)
-	}
-	payload, forward, _ := applyFault(l.inj, "out", concat(parts))
-	if !forward {
-		return nil
-	}
-	return l.inner.Send(payload)
-}
-
-func (l *FaultLink) Close() error { return l.inner.Close() }
-
-// recv transforms one incoming message (dropping it returns nil, false).
-func (l *FaultLink) recv(data []byte) ([]byte, bool) {
-	if l.mux {
-		if len(data) < MuxHeaderLen || !MuxIsData(data) {
-			return data, true
-		}
-		out, forward := applyMuxFault(l.inj, "in", data[:MuxHeaderLen], data[MuxHeaderLen:])
-		if !forward {
-			return nil, false
-		}
-		if len(out) != len(data)-MuxHeaderLen {
-			data = append(append([]byte{}, data[:MuxHeaderLen]...), out...)
-		}
-		return data, true
-	}
-	out, forward, _ := applyFault(l.inj, "in", data)
-	return out, forward
-}
-
 // TelLink counts frames and bytes through the stack under the
 // "sockstack" subsystem — the outermost layer, so it measures what
 // the application sees.
 type TelLink struct {
-	inner              Link
+	inner               Link
 	framesIn, framesOut *telemetry.Counter
 	bytesIn, bytesOut   *telemetry.Counter
 }
@@ -291,16 +212,15 @@ type Conn struct {
 
 	link Link
 	tel  *TelLink
-	flt  *FaultLink
 
-	mux        *Mux
-	open       bool
-	closed     bool
-	err        error
-	waitOpen   []func() // dials queued before the link opened
-	plainUsed  bool
-	plain      *plainStream
-	shedLocal  int64
+	mux       *Mux
+	open      bool
+	closed    bool
+	err       error
+	waitOpen  []func() // dials queued before the link opened
+	plainUsed bool
+	plain     *plainStream
+	shedLocal int64
 }
 
 // Stack assembles a client connection to addr from the window's event
@@ -316,9 +236,6 @@ func Stack(w *browser.Window, addr string, opts ...Option) *Conn {
 		p := retry.Defaults()
 		cfg.reconnect = &p
 	}
-	if cfg.inj == nil && cfg.plan != nil && cfg.plan.Enabled() {
-		cfg.inj = faultfs.New(*cfg.plan)
-	}
 	c := &Conn{win: w, loop: w.Loop, addr: addr, cfg: cfg}
 
 	path := "/"
@@ -327,16 +244,10 @@ func Stack(w *browser.Window, addr string, opts ...Option) *Conn {
 	}
 
 	// Incoming events route through the chain top-down: telemetry
-	// counts, faults may drop/truncate, then the Conn dispatches.
+	// counts, then the Conn dispatches.
 	deliver := func(data []byte) {
 		if c.tel != nil {
 			c.tel.recv(data)
-		}
-		if c.flt != nil {
-			var ok bool
-			if data, ok = c.flt.recv(data); !ok {
-				return
-			}
 		}
 		c.dispatch(data)
 	}
@@ -365,13 +276,8 @@ func Stack(w *browser.Window, addr string, opts ...Option) *Conn {
 		base = &wsLink{ws: ws, mux: cfg.mux}
 	}
 
-	// Faults directly above the transport.
-	link := base
-	if cfg.inj != nil {
-		c.flt = &FaultLink{inner: link, inj: cfg.inj, mux: cfg.mux}
-		link = c.flt
-	}
 	// Telemetry outermost.
+	link := base
 	if cfg.hub != nil {
 		reg := cfg.hub.Registry
 		c.tel = &TelLink{
@@ -421,7 +327,6 @@ func (c *Conn) onOpen(reconnected bool) {
 		c.mux = NewMux(MuxConfig{
 			Window:     c.cfg.window,
 			MaxStreams: c.cfg.maxStream,
-			RTO:        c.cfg.rto,
 			Hub:        c.cfg.hub,
 			Send: func(hdr, payload []byte) error {
 				return c.link.Send(hdr, payload)

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStackLayerOrder pins the builder's enforced order — telemetry
-// outermost, faults directly on the transport — independent of the
-// order options are passed, mirroring vfs.Stack's contract.
+// outermost, directly over the transport — independent of the order
+// options are passed, mirroring vfs.Stack's contract.
 func TestStackLayerOrder(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
@@ -22,11 +22,10 @@ func TestStackLayerOrder(t *testing.T) {
 	}
 	defer gw.Close()
 
-	plan := faultfs.Plan{Seed: 1, ErrRate: 0.01}
 	hub := telemetry.NewHub()
 	orders := [][]Option{
-		{WithFaults(plan), WithTelemetry(hub)},
-		{WithTelemetry(hub), WithFaults(plan)},
+		{WithReconnect(fastPolicy(3)), WithTelemetry(hub)},
+		{WithTelemetry(hub), WithReconnect(fastPolicy(3))},
 	}
 	for i, opts := range orders {
 		w := browser.NewWindow(browser.Chrome28)
@@ -41,18 +40,18 @@ func TestStackLayerOrder(t *testing.T) {
 				t.Errorf("order %d: outermost layer is %T, want *TelLink", i, conn.Link())
 				return
 			}
-			if _, ok := tel.Unwrap().(*FaultLink); !ok {
-				t.Errorf("order %d: under telemetry is %T, want *FaultLink", i, tel.Unwrap())
+			if _, ok := tel.Unwrap().(*rwsLink); !ok {
+				t.Errorf("order %d: under telemetry is %T, want *rwsLink", i, tel.Unwrap())
 			}
 			// Find walks the chain from the top.
-			if _, ok := Find[*FaultLink](conn.Link()); !ok {
-				t.Errorf("order %d: Find[*FaultLink] failed", i)
-			}
 			if _, ok := Find[*TelLink](conn.Link()); !ok {
 				t.Errorf("order %d: Find[*TelLink] failed", i)
 			}
-			if _, ok := Find[*wsLink](conn.Link()); !ok {
-				t.Errorf("order %d: Find[*wsLink] failed", i)
+			if _, ok := Find[*rwsLink](conn.Link()); !ok {
+				t.Errorf("order %d: Find[*rwsLink] failed", i)
+			}
+			if _, ok := Find[*wsLink](conn.Link()); ok {
+				t.Errorf("order %d: Find[*wsLink] found a plain transport under a reconnecting one", i)
 			}
 		})
 		if err := w.Loop.Run(); err != nil {
@@ -87,11 +86,14 @@ func TestStackHeartbeatImpliesReconnect(t *testing.T) {
 }
 
 // TestStackMuxEcho exercises the full option set together: reconnect
-// policy, mux, telemetry, and a fault plan, over one echo round trip.
+// policy, mux, window and telemetry, over one echo round trip through
+// a gateway whose fault plan stalls the connection on half the frames.
 func TestStackMuxEcho(t *testing.T) {
 	echoAddr, stopEcho := startEchoServer(t)
 	defer stopEcho()
-	gw, err := NewWebsockify("127.0.0.1:0", echoAddr)
+	gw, err := NewGateway("127.0.0.1:0", echoAddr, GatewayOptions{
+		Faults: faultfs.Plan{Seed: 3, LatencyRate: 0.5, Latency: 2 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +107,6 @@ func TestStackMuxEcho(t *testing.T) {
 			WithReconnect(retry.Defaults()),
 			WithMux(8),
 			WithWindow(2048),
-			WithRTO(10*time.Millisecond),
-			WithFaults(faultfs.Plan{Seed: 3, ErrRate: 0.05, ShortRate: 0.05}),
 			WithTelemetry(hub),
 		)
 		conn.Dial(func(s *Socket, err error) {
@@ -154,5 +154,8 @@ func TestStackMuxEcho(t *testing.T) {
 		if hub.Registry.Counter(m.sub, m.name).Value() == 0 {
 			t.Errorf("%s/%s is zero", m.sub, m.name)
 		}
+	}
+	if gw.FaultStats().Delays == 0 {
+		t.Error("no stalls were injected")
 	}
 }

@@ -1,6 +1,8 @@
 package sockets
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -64,8 +66,6 @@ type GatewayOptions struct {
 	// depth (core.Runtime.QueueDepth is safe cross-goroutine). Nil
 	// disables depth-based shedding.
 	QueueDepth func() int
-	// RTO overrides the mux retransmission timeout (0 = 50 ms).
-	RTO time.Duration
 	// DisableMux serves every path in plain one-stream-per-connection
 	// mode, MuxPath included — the -mux=false escape hatch for
 	// debugging against clients that cannot speak the framing.
@@ -73,8 +73,9 @@ type GatewayOptions struct {
 	// Hub, when non-nil, receives gateway counters ("websockify") and
 	// mux counters ("sockmux").
 	Hub *telemetry.Hub
-	// Faults arms deterministic fault injection on the data path at
-	// construction (SetFaults can retoggle it at runtime).
+	// Faults arms deterministic fault injection at construction
+	// (SetFaults can retoggle it at runtime; see there for what each
+	// fault does in plain and mux mode).
 	Faults faultfs.Plan
 	// Listener overrides the TCP listen (sockload's in-memory
 	// transport); when set, listenAddr is ignored.
@@ -147,10 +148,10 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 	return NewGateway(listenAddr, target, GatewayOptions{})
 }
 
-// SetFaults toggles deterministic fault injection on the data path at
-// runtime (a plan that cannot inject disarms it) — the chaos lever the
-// reconnect tests flip mid-run. Faults apply per data frame, in both
-// directions, reusing the VFS fault model's kinds. In plain mode:
+// SetFaults toggles deterministic fault injection at runtime (a plan
+// that cannot inject disarms it) — the chaos lever the reconnect tests
+// flip mid-run. Faults apply per frame, in both directions, reusing
+// the VFS fault model's kinds. In plain mode:
 //
 //   - ErrPre drops the frame on the floor — it is never forwarded, the
 //     silent loss a reconnecting client's heartbeat must catch.
@@ -159,12 +160,20 @@ func NewWebsockify(listenAddr, target string) (*Websockify, error) {
 //   - Short truncates the frame's payload to Keep of its bytes.
 //   - A latency spike stalls the pump before forwarding.
 //
-// In mux mode faults hit only DATA frames (the data plane): ErrPre
-// and ErrPost drop the frame, Short truncates its payload below its
-// declared length — both of which go-back-N detects and repairs.
-// Control frames (SYN/ACK/CREDIT/FIN/RST) are the reliable plane and
-// pass untouched. Connections already past their handshake keep their
-// previous injector.
+// In mux mode the WebSocket runs over TCP, so faults take only the
+// forms TCP can: every mux frame, control frames included, may end
+// the connection, never just itself.
+//
+//   - ErrPre and ErrPost reset the WebSocket connection; the frame is
+//     lost with it.
+//   - Short writes the first Keep of an outgoing frame's bytes and
+//     then closes the connection — a truncation mid-frame. An incoming
+//     frame cut short never parses, so it resets the connection too.
+//   - A latency spike stalls the connection before the frame.
+//
+// Every stream of the session then fails with ECONNRESET (transient);
+// a reconnecting client redials into a fresh session. Connections
+// already past their handshake keep their previous injector.
 func (w *Websockify) SetFaults(plan faultfs.Plan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -330,18 +339,24 @@ func (w *Websockify) dialTarget() (net.Conn, error) {
 	return net.Dial("tcp", w.target)
 }
 
-// applyFault draws one decision for a frame payload heading through
-// the proxy. It reports the (possibly truncated) payload, whether to
-// forward it, and whether to reset the bridge after forwarding.
-func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, forward, reset bool) {
+// drawFault draws one decision for a frame heading through the proxy
+// and applies its latency spike (a nil injector never faults).
+func drawFault(inj *faultfs.Injector, op string) faultfs.Fault {
 	if inj == nil {
-		return payload, true, false
+		return faultfs.Fault{}
 	}
 	ft := inj.Next(op)
 	if ft.Delay > 0 {
 		time.Sleep(ft.Delay)
 	}
-	switch ft.Kind {
+	return ft
+}
+
+// applyFault draws one decision for a plain-mode frame payload. It
+// reports the (possibly truncated) payload, whether to forward it, and
+// whether to reset the bridge after forwarding.
+func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, forward, reset bool) {
+	switch ft := drawFault(inj, op); ft.Kind {
 	case faultfs.ErrPre:
 		return nil, false, false
 	case faultfs.ErrPost:
@@ -352,32 +367,16 @@ func applyFault(inj *faultfs.Injector, op string, payload []byte) (out []byte, f
 	return payload, true, false
 }
 
-// applyMuxFault faults the data plane of a mux frame already split
-// into header and payload: drop (skip the send), or truncate the
-// payload below its declared length. Control frames pass untouched.
-func applyMuxFault(inj *faultfs.Injector, op string, hdr, payload []byte) (out []byte, forward bool) {
-	if inj == nil || len(hdr) < MuxHeaderLen || hdr[4] != muxData {
-		return payload, true
-	}
-	ft := inj.Next(op)
-	if ft.Delay > 0 {
-		time.Sleep(ft.Delay)
-	}
-	switch ft.Kind {
-	case faultfs.ErrPre, faultfs.ErrPost:
-		return nil, false
-	case faultfs.Short:
-		return payload[:int(float64(len(payload))*ft.Keep)], true
-	}
-	return payload, true
-}
+// errInjectedReset is the send error of a mux connection the fault
+// injector ended.
+var errInjectedReset = errors.New("sockets: injected connection reset")
 
 // connWriter serializes every writer of one WebSocket connection: the
 // mux session's writer goroutine, the reader's pong/close replies, and
 // plain mode's two pumps all target the same conn. net.Conn.Write may
 // split a frame across several syscalls under backpressure, so
 // unserialized writers can interleave mid-frame and desync the WS
-// framing layer itself — corruption no retransmission can repair.
+// framing layer itself — corruption no layer above can repair.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -393,6 +392,17 @@ func (cw *connWriter) writeBinary(hdr, payload []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	return WriteBinaryFrame(cw.conn, hdr, payload)
+}
+
+// writeCut writes the first keep fraction of one binary frame's wire
+// bytes and closes the connection: a TCP connection dying mid-frame.
+func (cw *connWriter) writeCut(keep float64, hdr, payload []byte) {
+	var buf bytes.Buffer
+	WriteBinaryFrame(&buf, hdr, payload)
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	cw.conn.Write(buf.Bytes()[:int(float64(buf.Len())*keep)]) // the conn dies either way
+	cw.conn.Close()
 }
 
 func (w *Websockify) serve(wsConn net.Conn) {
@@ -435,14 +445,17 @@ func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj
 	m = NewMux(MuxConfig{
 		Window:     w.opts.Window,
 		MaxStreams: w.opts.MaxStreams,
-		RTO:        w.opts.RTO,
 		Hub:        w.opts.Hub,
 		Send: func(hdr, payload []byte) error {
-			out, forward := applyMuxFault(inj, "tcp2ws", hdr, payload)
-			if !forward {
-				return nil
+			switch ft := drawFault(inj, "tcp2ws"); ft.Kind {
+			case faultfs.ErrPre, faultfs.ErrPost:
+				wsConn.Close()
+				return errInjectedReset
+			case faultfs.Short:
+				cw.writeCut(ft.Keep, hdr, payload)
+				return errInjectedReset
 			}
-			return cw.writeBinary(hdr, out)
+			return cw.writeBinary(hdr, payload)
 		},
 		AcceptStream: func(st *MuxStream) {
 			// Admission control: a tenant past the shed threshold
@@ -472,18 +485,12 @@ func (w *Websockify) serveMux(wsConn net.Conn, cw *connWriter, br io.Reader, inj
 		case OpPing:
 			cw.writeFrame(&Frame{Fin: true, Op: OpPong, Payload: f.Payload})
 		case OpBinary:
-			payload := f.Payload
-			if len(payload) >= MuxHeaderLen && MuxIsData(payload) {
-				hdr := payload[:MuxHeaderLen]
-				data, forward := applyMuxFault(inj, "ws2tcp", hdr, payload[MuxHeaderLen:])
-				if !forward {
-					continue
-				}
-				if len(data) != len(payload)-MuxHeaderLen {
-					payload = append(append([]byte{}, hdr...), data...)
-				}
+			if drawFault(inj, "ws2tcp").Faulty() {
+				// Reset, or cut short mid-frame: either way the frame
+				// is lost with the connection, which serve closes.
+				goto done
 			}
-			m.HandleFrame(payload)
+			m.HandleFrame(f.Payload)
 		}
 	}
 done:

@@ -5,9 +5,7 @@ package sockets
 //
 //   - At stream open, SYN/SYNACK advertise each side's receive window:
 //     the number of payload bytes the peer may have in flight.
-//   - A sender spends credit when it first transmits a byte
-//     (retransmissions are free — the receiver budgeted for the byte
-//     when it was first sent, and go-back-N may resend it many times).
+//   - A sender spends credit when it transmits a byte.
 //   - A receiver earns the sender new credit by draining its receive
 //     buffer: CREDIT frames carry the delta, batched until a quarter
 //     of the window has been drained so a byte-at-a-time consumer does
