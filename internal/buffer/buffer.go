@@ -430,6 +430,29 @@ func (f *Factory) unpack(s string) ([]byte, error) {
 	}
 }
 
+// PackedLen reports the byte length a packed binary string unpacks to,
+// read from its header unit and its length in UTF-16 units without
+// decoding the contents. It fails exactly when unpacking would.
+func PackedLen(s string) (int, error) {
+	units := jsstring.Units(s)
+	if units == 0 {
+		return 0, ErrBadPackedString
+	}
+	switch s[0] {
+	case 'S':
+		return units - 1, nil
+	case 'D':
+		return 2 * (units - 1), nil
+	case 'd':
+		if units == 1 {
+			return 0, ErrBadPackedString
+		}
+		return 2*(units-1) - 1, nil
+	default:
+		return 0, ErrBadPackedString
+	}
+}
+
 // ToString renders bytes [start, end) in the given encoding.
 func (b *Buffer) ToString(enc string, start, end int) (string, error) {
 	b.checkRange(start, end-start)

@@ -177,6 +177,42 @@ func TestPackedRoundTripProperty(t *testing.T) {
 	}
 }
 
+func TestPackedLenMatchesUnpack(t *testing.T) {
+	for name, f := range factories {
+		packed := func(data []byte) bool {
+			n, err := PackedLen(f.pack(data))
+			return err == nil && n == len(data)
+		}
+		if err := quick.Check(packed, nil); err != nil {
+			t.Errorf("%s: packed: %v", name, err)
+		}
+		// Arbitrary strings, corrupt ones included: a header byte
+		// (or none) followed by random, often malformed, WTF-8.
+		arbitrary := func(head uint8, rest []byte) bool {
+			s := string(rest)
+			if head%5 != 0 {
+				s = string("SDdX"[head%4]) + s
+			}
+			n, err := PackedLen(s)
+			data, uerr := f.unpack(s)
+			if uerr != nil {
+				return err != nil && n == 0
+			}
+			return err == nil && n == len(data)
+		}
+		if err := quick.Check(arbitrary, nil); err != nil {
+			t.Errorf("%s: arbitrary: %v", name, err)
+		}
+	}
+	for _, s := range []string{"", "d", "D", "S", "X", "\xed\xa0\x80"} {
+		n, err := PackedLen(s)
+		data, uerr := factories["typed"].unpack(s)
+		if (err == nil) != (uerr == nil) || n != len(data) {
+			t.Errorf("PackedLen(%q) = %d, %v; unpack gives %d bytes, %v", s, n, err, len(data), uerr)
+		}
+	}
+}
+
 func TestPackedDensity(t *testing.T) {
 	data := make([]byte, 1000)
 	for i := range data {

@@ -145,6 +145,23 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 	if spec.Start == nil {
 		return nil, fmt.Errorf("fleet: tenant %q has no Start", spec.Label)
 	}
+	// The root backend and the profiler are built off-loop (in-memory
+	// backends are safe to construct anywhere) so Submit does not
+	// serialize on the shard, and before the tenant is published in
+	// s.tenants, where Snapshot reads them under s.mu: both stay
+	// immutable on the tenant thereafter.
+	root := s.cfg.NewRoot()
+	if spec.Budget.CacheBytes > 0 {
+		root = vfs.Stack(root, vfs.WithCache(vfs.CacheOptions{ByteBudget: spec.Budget.CacheBytes}))
+	}
+	var prof *profile.Profiler
+	if s.cfg.Profiling {
+		interval := s.cfg.ProfileInterval
+		if interval <= 0 {
+			interval = 10 * time.Millisecond
+		}
+		prof = profile.New(profile.Options{CPUInterval: interval})
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -171,6 +188,8 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 		spec:        spec,
 		sup:         s,
 		shard:       sh,
+		root:        root,
+		prof:        prof,
 		state:       StatePending,
 		submittedAt: time.Now(),
 		doneCh:      make(chan struct{}),
@@ -192,23 +211,6 @@ func (s *Supervisor) Submit(spec Tenant) (*TenantRef, error) {
 	}
 	if s.mLive != nil {
 		s.mLive.Add(1)
-	}
-
-	// The root backend is built off-loop (in-memory backends are safe
-	// to construct anywhere) so Submit does not serialize on the shard.
-	root := s.cfg.NewRoot()
-	if spec.Budget.CacheBytes > 0 {
-		root = vfs.Stack(root, vfs.WithCache(vfs.CacheOptions{ByteBudget: spec.Budget.CacheBytes}))
-	}
-	t.root = root
-	if s.cfg.Profiling {
-		// Built off-loop and immutable on the tenant thereafter, so
-		// Snapshot can rank hot methods without touching the shard.
-		interval := s.cfg.ProfileInterval
-		if interval <= 0 {
-			interval = 10 * time.Millisecond
-		}
-		t.prof = profile.New(profile.Options{CPUInterval: interval})
 	}
 
 	sh.loop.InvokeExternal("fleet-admit:"+spec.Label, func() { sh.startTenant(t) })

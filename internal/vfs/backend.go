@@ -103,10 +103,18 @@ type Backend interface {
 	ReadOnly() bool
 	// Stat describes the node at path.
 	Stat(path string, cb func(Stats, error))
-	// Open loads the entire contents of the file at path.
+	// Open loads the entire contents of the file at path. It fails
+	// with ENOENT when nothing is at path (a missing or non-directory
+	// parent included) and with EISDIR when path is a directory, the
+	// root and mount points included; the front end's ReadFile relies
+	// on it, with no Stat first.
 	Open(path string, cb func([]byte, error))
 	// Sync writes back the entire contents of the file at path,
-	// creating it if necessary.
+	// creating it if necessary. It fails with ENOENT when the parent
+	// does not exist, ENOTDIR when the parent is not a directory, and
+	// EISDIR when path is a directory, the root and mount points
+	// included; the front end's WriteFile relies on it, with no Stat
+	// first. Read-only backends answer EROFS.
 	Sync(path string, data []byte, cb func(error))
 	// Unlink removes the file at path.
 	Unlink(path string, cb func(error))

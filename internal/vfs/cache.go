@@ -391,7 +391,8 @@ func (c *Cached) Stat(p string, cb func(Stats, error)) {
 }
 
 // Open serves whole files from the page cache; a cached negative stat
-// short-circuits to ENOENT without a backend round trip.
+// short-circuits to ENOENT without a backend round trip, and an ENOENT
+// from the backend is cached as one.
 func (c *Cached) Open(p string, cb func([]byte, error)) {
 	start := time.Now()
 	c.mu.Lock()
@@ -419,13 +420,18 @@ func (c *Cached) Open(p string, cb func([]byte, error)) {
 	c.mu.Unlock()
 	c.miss.Inc()
 	c.b.Open(p, func(data []byte, err error) {
-		if err == nil {
-			c.mu.Lock()
+		c.mu.Lock()
+		switch {
+		case err == nil:
 			// Store a private copy: the caller's slice feeds file
 			// descriptors that mutate it in place.
 			c.insertPageLocked(p, append([]byte(nil), data...), false)
-			c.mu.Unlock()
+		case IsErrno(err, ENOENT):
+			// Remembered like a Stat miss: whole-file reads probe
+			// missing paths with no Stat first.
+			c.stats[p] = cacheStat{neg: true}
 		}
+		c.mu.Unlock()
 		c.latOpenMiss.ObserveSince(start)
 		cb(data, err)
 	})
@@ -458,7 +464,7 @@ func (c *Cached) Sync(p string, data []byte, cb func(error)) {
 func (c *Cached) syncBuffered(p string, data []byte, cb func(error)) {
 	dir, base := vkernel.SplitDir(p)
 	if base == "" {
-		cb(Err(EINVAL, "sync", p))
+		cb(Err(EISDIR, "sync", p))
 		return
 	}
 	c.Stat(dir, func(dst Stats, derr error) {

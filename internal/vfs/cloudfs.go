@@ -104,9 +104,9 @@ func (c *CloudFS) Sync(p string, data []byte, cb func(error)) {
 	c.store.call(c.loop, func() {
 		c.store.mu.Lock()
 		defer c.store.mu.Unlock()
-		dir, base := splitDir(p)
-		if base == "" {
-			cb(Err(EINVAL, "sync", p))
+		dir, _ := splitDir(p)
+		if _, ok := c.store.files[dir]; ok {
+			cb(Err(ENOTDIR, "sync", p))
 			return
 		}
 		if !c.store.dirs[dir] {

@@ -337,31 +337,24 @@ func (fs *FS) FTruncate(fd *FD, size int, cb func(error)) {
 // --- whole-file and metadata convenience API (standardized in terms
 // of the nine core backend methods, as §5.1 describes) ---
 
-// ReadFile loads the entire file at path.
+// ReadFile loads the entire file at path in one backend call: Open
+// itself answers ENOENT or EISDIR (the Backend errno contract).
 func (fs *FS) ReadFile(path string, cb func(*buffer.Buffer, error)) {
 	p := fs.resolve(path)
 	fs.note("readFile", p)
-	fs.root.Stat(p, func(st Stats, err error) {
-		switch {
-		case err != nil:
-			fs.deliver(func() { cb(nil, err) })
-		case st.IsDirectory():
-			fs.deliver(func() { cb(nil, Err(EISDIR, "readFile", p)) })
-		default:
-			fs.root.Open(p, func(data []byte, err error) {
-				fs.deliver(func() {
-					if err != nil {
-						cb(nil, err)
-						return
-					}
-					cb(fs.bufs.FromBytes(data), nil)
-				})
-			})
-		}
+	fs.root.Open(p, func(data []byte, err error) {
+		fs.deliver(func() {
+			if err != nil {
+				cb(nil, err)
+				return
+			}
+			cb(fs.bufs.FromBytes(data), nil)
+		})
 	})
 }
 
-// WriteFile replaces the entire file at path with data.
+// WriteFile replaces the entire file at path with data in one backend
+// call: Sync itself answers ENOENT, ENOTDIR or EISDIR.
 func (fs *FS) WriteFile(path string, data []byte, cb func(error)) {
 	p := fs.resolve(path)
 	fs.note("writeFile", p)
@@ -369,40 +362,7 @@ func (fs *FS) WriteFile(path string, data []byte, cb func(error)) {
 		fs.deliverErr(cb, Err(EROFS, "writeFile", p))
 		return
 	}
-	fs.checkWritableTarget(p, "writeFile", func(err error) {
-		if err != nil {
-			fs.deliverErr(cb, err)
-			return
-		}
-		fs.root.Sync(p, data, func(err error) { fs.deliverErr(cb, err) })
-	})
-}
-
-// checkWritableTarget verifies p is not a directory and its parent
-// exists and is a directory.
-func (fs *FS) checkWritableTarget(p, op string, cb func(error)) {
-	fs.root.Stat(p, func(st Stats, err error) {
-		switch {
-		case err == nil && st.IsDirectory():
-			cb(Err(EISDIR, op, p))
-		case err == nil:
-			cb(nil)
-		case IsErrno(err, ENOENT):
-			dir, _ := splitDir(p)
-			fs.root.Stat(dir, func(dst Stats, derr error) {
-				switch {
-				case derr != nil:
-					cb(Err(ENOENT, op, p))
-				case !dst.IsDirectory():
-					cb(Err(ENOTDIR, op, p))
-				default:
-					cb(nil)
-				}
-			})
-		default:
-			cb(err)
-		}
-	})
+	fs.root.Sync(p, data, func(err error) { fs.deliverErr(cb, err) })
 }
 
 // AppendFile appends data to the file at path, creating it if needed.
@@ -419,13 +379,7 @@ func (fs *FS) AppendFile(path string, data []byte, cb func(error)) {
 			return
 		}
 		combined := append(append([]byte(nil), old...), data...)
-		fs.checkWritableTarget(p, "appendFile", func(err error) {
-			if err != nil {
-				fs.deliverErr(cb, err)
-				return
-			}
-			fs.root.Sync(p, combined, func(err error) { fs.deliverErr(cb, err) })
-		})
+		fs.root.Sync(p, combined, func(err error) { fs.deliverErr(cb, err) })
 	})
 }
 

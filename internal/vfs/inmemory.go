@@ -126,14 +126,25 @@ func (m *InMemory) Open(p string, cb func([]byte, error)) {
 	}
 }
 
-// Sync writes back the file's contents, creating it if needed.
+// Sync writes back the file's contents, creating it if needed. A
+// symlink is written through, as Stat and Open read through it.
 func (m *InMemory) Sync(p string, data []byte, cb func(error)) {
+	if p == "/" {
+		cb(Err(EISDIR, "sync", p))
+		return
+	}
 	parent, base, err := m.parentOf(p, "sync")
 	if err != nil {
 		cb(err)
 		return
 	}
 	node, ok := parent.children[base]
+	if ok && node.typ == TypeSymlink {
+		if node, err = m.walk(p, true); err != nil {
+			cb(Err(ENOENT, "sync", p))
+			return
+		}
+	}
 	if ok && node.typ == TypeDir {
 		cb(Err(EISDIR, "sync", p))
 		return

@@ -98,26 +98,64 @@ func (f *FlatKV) Name() string { return f.name }
 // ReadOnly reports false: the backend is writable.
 func (f *FlatKV) ReadOnly() bool { return false }
 
-// statNode classifies p as file, dir, or missing.
-func (f *FlatKV) statNode(p string, cb func(typ FileType, size int, exists bool)) {
-	if p == "/" {
-		cb(TypeDir, 0, true)
+// kvNode is what the store holds under one path's two keys.
+type kvNode struct {
+	val       string // packed contents, when file
+	file, dir bool
+}
+
+func (n kvNode) exists() bool { return n.file || n.dir }
+
+// kvReq is one store request; it calls done once its answer is in.
+type kvReq func(done func())
+
+// together issues every request at once and calls then after the last
+// one answers. Like requests queued on one IndexedDB transaction, they
+// share a single store round trip instead of taking one each. Store
+// callbacks run on the event loop (or inline, for localStorage), so a
+// plain counter joins them.
+func together(then func(), reqs ...kvReq) {
+	left := len(reqs)
+	if left == 0 {
+		then()
 		return
 	}
-	f.kv.get(fileKeyPrefix+p, func(val string, ok bool) {
-		if ok {
-			data, err := f.unpackContents(val)
-			if err != nil {
-				cb(TypeFile, 0, true)
-				return
+	for _, r := range reqs {
+		r(func() {
+			if left--; left == 0 {
+				then()
 			}
-			cb(TypeFile, len(data), true)
-			return
-		}
-		f.kv.get(dirKeyPrefix+p, func(_ string, ok bool) {
-			cb(TypeDir, 0, ok)
 		})
-	})
+	}
+}
+
+// load returns the requests that read p's file and directory keys
+// into n. The root is implicit and needs none.
+func (f *FlatKV) load(p string, n *kvNode) []kvReq {
+	if p == "/" {
+		n.dir = true
+		return nil
+	}
+	return []kvReq{
+		func(done func()) {
+			f.kv.get(fileKeyPrefix+p, func(val string, ok bool) { n.val, n.file = val, ok; done() })
+		},
+		f.has(dirKeyPrefix+p, &n.dir),
+	}
+}
+
+// has returns a request that records whether key is present.
+func (f *FlatKV) has(key string, found *bool) kvReq {
+	return func(done func()) {
+		f.kv.get(key, func(_ string, ok bool) { *found = ok; done() })
+	}
+}
+
+// allKeys returns a request that lists every key into keys.
+func (f *FlatKV) allKeys(keys *[]string) kvReq {
+	return func(done func()) {
+		f.kv.keys(func(k []string) { *keys = k; done() })
+	}
 }
 
 func (f *FlatKV) packContents(data []byte) (string, error) {
@@ -133,88 +171,92 @@ func (f *FlatKV) unpackContents(val string) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Stat describes the node at path.
+// Stat describes the node at path in one store round trip. A file's
+// size comes from its packed string's header and length, without
+// unpacking the contents; a corrupt string stats as an empty file.
 func (f *FlatKV) Stat(p string, cb func(Stats, error)) {
-	f.statNode(p, func(typ FileType, size int, exists bool) {
-		if !exists {
+	var n kvNode
+	together(func() {
+		switch {
+		case n.file:
+			size, _ := buffer.PackedLen(n.val)
+			cb(Stats{Type: TypeFile, Size: int64(size)}, nil)
+		case n.dir:
+			cb(Stats{Type: TypeDir}, nil)
+		default:
 			cb(Stats{}, Err(ENOENT, "stat", p))
-			return
 		}
-		cb(Stats{Type: typ, Size: int64(size)}, nil)
-	})
+	}, f.load(p, &n)...)
 }
 
-// Open loads the file's contents, unpacking the stored string.
+// Open loads the file's contents, unpacking the stored string, in one
+// store round trip.
 func (f *FlatKV) Open(p string, cb func([]byte, error)) {
-	f.kv.get(fileKeyPrefix+p, func(val string, ok bool) {
-		if !ok {
-			f.kv.get(dirKeyPrefix+p, func(_ string, isDir bool) {
-				if isDir || p == "/" {
-					cb(nil, Err(EISDIR, "open", p))
-					return
-				}
-				cb(nil, Err(ENOENT, "open", p))
-			})
-			return
+	var n kvNode
+	together(func() {
+		switch {
+		case n.file:
+			data, err := f.unpackContents(n.val)
+			if err != nil {
+				cb(nil, ErrWithCause(EIO, "open", p, err))
+				return
+			}
+			cb(data, nil)
+		case n.dir:
+			cb(nil, Err(EISDIR, "open", p))
+		default:
+			cb(nil, Err(ENOENT, "open", p))
 		}
-		data, err := f.unpackContents(val)
-		if err != nil {
-			cb(nil, ErrWithCause(EIO, "open", p, err))
-			return
-		}
-		cb(data, nil)
-	})
+	}, f.load(p, &n)...)
 }
 
-// Sync writes back the file's contents as a packed string. Quota
-// exhaustion maps to ENOSPC.
+// Sync writes back the file's contents as a packed string in two store
+// round trips: the parent's node and p's directory key together, then
+// the put. Quota exhaustion maps to ENOSPC.
 func (f *FlatKV) Sync(p string, data []byte, cb func(error)) {
-	dir, base := splitDir(p)
-	if base == "" {
-		cb(Err(EINVAL, "sync", p))
+	if p == "/" {
+		cb(Err(EISDIR, "sync", p))
 		return
 	}
-	f.statNode(dir, func(typ FileType, _ int, exists bool) {
+	dir, _ := splitDir(p)
+	var parent kvNode
+	var isDir bool
+	together(func() {
 		switch {
-		case !exists:
+		case !parent.exists():
 			cb(Err(ENOENT, "sync", p))
 			return
-		case typ != TypeDir:
+		case parent.file:
 			cb(Err(ENOTDIR, "sync", p))
 			return
+		case isDir:
+			cb(Err(EISDIR, "sync", p))
+			return
 		}
-		f.kv.get(dirKeyPrefix+p, func(_ string, isDir bool) {
-			if isDir {
-				cb(Err(EISDIR, "sync", p))
-				return
-			}
-			packed, err := f.packContents(data)
-			if err != nil {
-				cb(ErrWithCause(EIO, "sync", p, err))
-				return
-			}
-			f.kv.put(fileKeyPrefix+p, packed, func(err error) {
-				cb(kvErr(err, "sync", p))
-			})
+		packed, err := f.packContents(data)
+		if err != nil {
+			cb(ErrWithCause(EIO, "sync", p, err))
+			return
+		}
+		f.kv.put(fileKeyPrefix+p, packed, func(err error) {
+			cb(kvErr(err, "sync", p))
 		})
-	})
+	}, append(f.load(dir, &parent), f.has(dirKeyPrefix+p, &isDir))...)
 }
 
 // Unlink removes a file.
 func (f *FlatKV) Unlink(p string, cb func(error)) {
-	f.kv.get(fileKeyPrefix+p, func(_ string, ok bool) {
-		if !ok {
-			f.kv.get(dirKeyPrefix+p, func(_ string, isDir bool) {
-				if isDir {
-					cb(Err(EISDIR, "unlink", p))
-					return
-				}
-				cb(Err(ENOENT, "unlink", p))
-			})
-			return
+	var n kvNode
+	together(func() {
+		switch {
+		case n.file:
+			f.kv.del(fileKeyPrefix+p, func() { cb(nil) })
+		case n.dir:
+			cb(Err(EISDIR, "unlink", p))
+		default:
+			cb(Err(ENOENT, "unlink", p))
 		}
-		f.kv.del(fileKeyPrefix+p, func() { cb(nil) })
-	})
+	}, f.load(p, &n)...)
 }
 
 // childNames extracts the immediate child names of dir from the full
@@ -245,62 +287,57 @@ func childNames(keys []string, dir string) []string {
 
 // Rmdir removes an empty directory.
 func (f *FlatKV) Rmdir(p string, cb func(error)) {
-	f.statNode(p, func(typ FileType, _ int, exists bool) {
+	var n kvNode
+	var keys []string
+	together(func() {
 		switch {
-		case !exists:
+		case !n.exists():
 			cb(Err(ENOENT, "rmdir", p))
-			return
-		case typ != TypeDir:
+		case n.file:
 			cb(Err(ENOTDIR, "rmdir", p))
-			return
 		case p == "/":
 			cb(Err(EPERM, "rmdir", p))
-			return
-		}
-		f.kv.keys(func(keys []string) {
-			if len(childNames(keys, p)) > 0 {
-				cb(Err(ENOTEMPTY, "rmdir", p))
-				return
-			}
+		case len(childNames(keys, p)) > 0:
+			cb(Err(ENOTEMPTY, "rmdir", p))
+		default:
 			f.kv.del(dirKeyPrefix+p, func() { cb(nil) })
-		})
-	})
+		}
+	}, append(f.load(p, &n), f.allKeys(&keys))...)
 }
 
 // Mkdir creates a directory marker; the parent must exist.
 func (f *FlatKV) Mkdir(p string, cb func(error)) {
-	f.statNode(p, func(_ FileType, _ int, exists bool) {
-		if exists {
+	dir, _ := splitDir(p)
+	var n, parent kvNode
+	together(func() {
+		switch {
+		case n.exists():
 			cb(Err(EEXIST, "mkdir", p))
-			return
+		case !parent.exists():
+			cb(Err(ENOENT, "mkdir", p))
+		case parent.file:
+			cb(Err(ENOTDIR, "mkdir", p))
+		default:
+			f.kv.put(dirKeyPrefix+p, "", cb)
 		}
-		dir, _ := splitDir(p)
-		f.statNode(dir, func(typ FileType, _ int, parentExists bool) {
-			switch {
-			case !parentExists:
-				cb(Err(ENOENT, "mkdir", p))
-			case typ != TypeDir:
-				cb(Err(ENOTDIR, "mkdir", p))
-			default:
-				f.kv.put(dirKeyPrefix+p, "", cb)
-			}
-		})
-	})
+	}, append(f.load(p, &n), f.load(dir, &parent)...)...)
 }
 
-// Readdir lists the immediate children of a directory.
+// Readdir lists the immediate children of a directory in one store
+// round trip: the node and the key list together.
 func (f *FlatKV) Readdir(p string, cb func([]string, error)) {
-	f.statNode(p, func(typ FileType, _ int, exists bool) {
+	var n kvNode
+	var keys []string
+	together(func() {
 		switch {
-		case !exists:
+		case !n.exists():
 			cb(nil, Err(ENOENT, "readdir", p))
-			return
-		case typ != TypeDir:
+		case n.file:
 			cb(nil, Err(ENOTDIR, "readdir", p))
-			return
+		default:
+			cb(childNames(keys, p), nil)
 		}
-		f.kv.keys(func(keys []string) { cb(childNames(keys, p), nil) })
-	})
+	}, append(f.load(p, &n), f.allKeys(&keys))...)
 }
 
 // Rename moves a file (directory renames move the marker and all

@@ -112,14 +112,26 @@ func (m *MountFS) coversMountPrefix(p string) bool {
 	return false
 }
 
-// Open loads a file through the owning backend.
+// Open loads a file through the owning backend. Directories that
+// exist only as ancestors of a mount point answer EISDIR, as they stat
+// as directories.
 func (m *MountFS) Open(p string, cb func([]byte, error)) {
 	b, rel := m.route(p)
-	b.Open(rel, cb)
+	b.Open(rel, func(data []byte, err error) {
+		if err != nil && m.coversMountPrefix(p) {
+			err = Err(EISDIR, "open", p)
+		}
+		cb(data, err)
+	})
 }
 
-// Sync writes a file through the owning backend.
+// Sync writes a file through the owning backend. A mount point or an
+// ancestor of one is a directory whatever the backends hold: EISDIR.
 func (m *MountFS) Sync(p string, data []byte, cb func(error)) {
+	if m.isMountPoint(p) || m.coversMountPrefix(p) {
+		cb(Err(EISDIR, "sync", p))
+		return
+	}
 	b, rel := m.route(p)
 	b.Sync(rel, data, cb)
 }

@@ -1,9 +1,11 @@
 package vfs
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
+	"syscall"
 
 	"doppio/internal/core"
 	"doppio/internal/eventloop"
@@ -47,6 +49,20 @@ func (o *OSBackend) dispatch(op func() func()) {
 	}()
 }
 
+// osErrno maps a host error onto the errno the Backend contract names
+// for it; anything else is EIO.
+func osErrno(err error) Errno {
+	switch {
+	case errors.Is(err, syscall.EISDIR):
+		return EISDIR
+	case errors.Is(err, syscall.ENOTDIR):
+		return ENOTDIR
+	case errors.Is(err, os.ErrNotExist):
+		return ENOENT
+	}
+	return EIO
+}
+
 // Stat describes the node at path.
 func (o *OSBackend) Stat(p string, cb func(Stats, error)) {
 	o.dispatch(func() func() {
@@ -67,7 +83,11 @@ func (o *OSBackend) Open(p string, cb func([]byte, error)) {
 	o.dispatch(func() func() {
 		data, err := os.ReadFile(o.path(p))
 		if err != nil {
-			return func() { cb(nil, ErrWithCause(ENOENT, "open", p, err)) }
+			errno := osErrno(err)
+			if errno == ENOTDIR {
+				errno = ENOENT // a file parent: nothing is at p
+			}
+			return func() { cb(nil, ErrWithCause(errno, "open", p, err)) }
 		}
 		return func() { cb(data, nil) }
 	})
@@ -79,7 +99,7 @@ func (o *OSBackend) Sync(p string, data []byte, cb func(error)) {
 	o.dispatch(func() func() {
 		err := os.WriteFile(o.path(p), cp, 0o644)
 		if err != nil {
-			return func() { cb(ErrWithCause(EIO, "sync", p, err)) }
+			return func() { cb(ErrWithCause(osErrno(err), "sync", p, err)) }
 		}
 		return func() { cb(nil) }
 	})

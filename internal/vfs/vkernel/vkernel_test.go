@@ -1,6 +1,10 @@
 package vkernel
 
-import "testing"
+import (
+	"path"
+	"strings"
+	"testing"
+)
 
 func TestNormalizeAndClean(t *testing.T) {
 	norm := map[string]string{
@@ -108,4 +112,62 @@ func TestChildOf(t *testing.T) {
 			t.Errorf("ChildOf(%q, %q) = (%q, %v), want (%q, %v)", c.dir, c.p, name, ok, c.name, c.ok)
 		}
 	}
+}
+
+// FuzzResolve checks the path kernel on arbitrary input, since backends
+// such as FlatKV build their storage keys from resolved paths:
+// Normalize and Resolve are idempotent, agree with path.Clean whenever
+// the result is absolute, and SplitDir and ChildOf take a resolved path
+// apart consistently.
+func FuzzResolve(f *testing.F) {
+	for _, p := range []string{"", "/", "/a//b///c/", "a/./b", "/a/b/../c", "/a/../../b",
+		"../a", "a/..", "/..", "a/b/../../..", "/a/b/", "/mnt/a/b", "/ab"} {
+		f.Add("/", p)
+	}
+	f.Add("/home", "rel.txt")
+	f.Add("/home", "../etc")
+	f.Add("/home", ".")
+	f.Add("", "x")
+	f.Add("/a/b", "/c/../d")
+	f.Add("a", "b/../c")
+	f.Fuzz(func(t *testing.T, cwd, p string) {
+		n := Normalize(p)
+		if again := Normalize(n); again != n {
+			t.Fatalf("Normalize(%q) = %q, but Normalize(%q) = %q", p, n, n, again)
+		}
+		if IsAbs(n) && n != path.Clean(p) {
+			t.Fatalf("Normalize(%q) = %q, path.Clean = %q", p, n, path.Clean(p))
+		}
+		r := Resolve(cwd, p)
+		if !IsAbs(r) {
+			t.Fatalf("Resolve(%q, %q) = %q is not absolute", cwd, p, r)
+		}
+		if again := Resolve(cwd, r); again != r {
+			t.Fatalf("Resolve(%q, %q) = %q, but resolving that again gives %q", cwd, p, r, again)
+		}
+		want := path.Clean(p)
+		if !IsAbs(p) {
+			want = path.Clean("/" + cwd + "/" + p)
+		}
+		if r != want {
+			t.Fatalf("Resolve(%q, %q) = %q, path.Clean gives %q", cwd, p, r, want)
+		}
+
+		dir, base := SplitDir(r)
+		if base == "" {
+			if r != Sep || dir != Sep {
+				t.Fatalf("SplitDir(%q) = (%q, %q): only the root has no base", r, dir, base)
+			}
+			return
+		}
+		if strings.Contains(base, Sep) || DirPrefix(dir)+base != r {
+			t.Fatalf("SplitDir(%q) = (%q, %q) does not rejoin", r, dir, base)
+		}
+		if name, ok := ChildOf(dir, r); !ok || name != base {
+			t.Fatalf("ChildOf(%q, %q) = (%q, %v), SplitDir gives base %q", dir, r, name, ok, base)
+		}
+		if _, ok := ChildOf(r, r); ok {
+			t.Fatalf("ChildOf(%q, %q) reports a path as its own child", r, r)
+		}
+	})
 }
