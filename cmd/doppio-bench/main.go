@@ -7,6 +7,7 @@
 //	doppio-bench -metrics -trace t.json   # instrumented default pass
 //	doppio-bench -fig3 -ops :6060     # live ops endpoints while it runs
 //	doppio-bench -ops-bench           # flight-recorder overhead A/B
+//	doppio-bench -interp -check -out /tmp   # A/B + CI gate, BENCH_interp.json in /tmp
 //
 // With -metrics and/or -trace but no figure selected, a default
 // telemetry pass runs: the disasm workload through DoppioJVM plus a
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -55,27 +57,44 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the -fs-faults fault sequence and retry jitter")
 	schedBatch := flag.Bool("sched-batch", false, "slice-batching A/B on the multithreaded producer/consumer workload (suspension round trips, context switches, longest macrotask)")
 	schedPrio := flag.Bool("sched-prio", false, "priority run-queue A/B: four CPU-bound threads with and without Thread.setPriority")
-	schedOut := flag.String("sched-out", "BENCH_sched.json", "path for the -sched-batch/-sched-prio JSON report")
 	opsAddr := flag.String("ops", "", "serve the live ops endpoints (/metrics, /debug/threads, pprof, ...) on this address, e.g. :6060")
 	flightCap := flag.Int("flight", 0, "enable the flight recorder with this event capacity (0 disables; -ops enables it at the default capacity)")
 	traceCap := flag.Int("trace-cap", 0, "trace-event retention cap for -trace (0 = default 262144; negative = unlimited); overflow drops oldest events, counted in telemetry.trace_dropped")
 	opsBench := flag.Bool("ops-bench", false, "flight-recorder overhead A/B on a CPU-bound multithreaded workload")
-	opsOut := flag.String("ops-out", "BENCH_ops.json", "path for the -ops-bench JSON report")
 	profFlag := flag.Bool("prof", false, "attach the guest sampling profiler to every Doppio-engine run; prints the hot methods at exit")
 	profPath := flag.String("prof-out", "", "write the guest CPU profile here at exit (.pb.gz = pprof protobuf, .json = snapshot, else collapsed stacks); implies -prof")
 	profBench := flag.Bool("prof-bench", false, "guest-profiler overhead A/B: DeltaBlue with the sampling profiler attached vs detached")
-	profOut := flag.String("prof-bench-out", "BENCH_prof.json", "path for the -prof-bench JSON report")
-	profCheck := flag.Bool("prof-check", false, "fail unless the -prof-bench overhead is <= 5% and the hottest method is a DeltaBlue method (CI gate)")
 	fleetN := flag.Int("fleet", 0, "fleet hosting sweep: run the tenant counts from {16, 64, 256} up to N, single-shard vs multi-shard at equal work")
 	fleetShards := flag.Int("fleet-shards", 0, "multi-shard pool width for -fleet (default NumCPU)")
 	fleetWorkload := flag.String("fleet-workload", "mixed", "tenant mix for -fleet: minic, jvm, mixed, pipes, or sock")
-	fleetOut := flag.String("fleet-out", "BENCH_fleet.json", "path for the -fleet JSON report")
-	fleetCheck := flag.Bool("fleet-check", false, "fail unless the -fleet run saw zero evictions and every tenant's slice counter is nonzero (CI smoke gate)")
 	interp := flag.Bool("interp", false, "interpreter speed-tier A/B: DeltaBlue with quickening (inline caches, superinstructions) on vs off at equal timeslice")
 	interpIters := flag.Int("interp-iters", 5, "timed iterations per arm for -interp")
-	interpOut := flag.String("interp-out", "BENCH_interp.json", "path for the -interp JSON report")
-	interpCheck := flag.Bool("interp-check", false, "fail unless the -interp quickened arm is >= 2x faster at p50 with byte-identical output (CI smoke gate)")
+	outDir := flag.String("out", ".", "directory the A/B harnesses write their BENCH_<name>.json reports to")
+	check := flag.Bool("check", false, "exit nonzero unless every A/B harness that ran holds its gate: sched >= 5x fewer suspensions, ops/prof overhead <= 5%, fleet zero evictions, interp >= 2x at p50")
 	flag.Parse()
+
+	// report writes a harness's BENCH_<name>.json into -out; under
+	// -check, gate prints the "<name> check: ok" line CI greps for or
+	// records the violated bound for the exit status.
+	report := func(name string, v any) {
+		path := filepath.Join(*outDir, "BENCH_"+name+".json")
+		if err := bench.WriteReport(path, v); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s report written to %s\n", name, path)
+	}
+	var finishErr error
+	gate := func(ok string, err error) {
+		if !*check {
+			return
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doppio-bench:", err)
+			finishErr = err
+			return
+		}
+		fmt.Println(ok)
+	}
 
 	var hub *telemetry.Hub
 	if *metrics || *tracePath != "" || *opsAddr != "" || *flightCap > 0 {
@@ -129,7 +148,6 @@ func main() {
 	// snapshot and close the trace file exactly once.
 	benchStart := time.Now()
 	var finishOnce sync.Once
-	var finishErr error
 	finish := func() {
 		finishOnce.Do(func() {
 			if guestProf != nil {
@@ -276,14 +294,15 @@ func main() {
 		}
 	}
 	if *schedBatch || *schedPrio {
-		var report bench.SchedReport
+		var rep bench.SchedReport
 		if *schedBatch {
 			res, err := bench.RunSchedBatch(cfg)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Println(bench.FormatSchedBatch(res))
-			report.Batch = res
+			rep.Batch = res
+			gate(checkSched(res))
 		}
 		if *schedPrio {
 			res, err := bench.RunSchedPrio(cfg)
@@ -291,12 +310,9 @@ func main() {
 				fatal(err)
 			}
 			fmt.Println(bench.FormatSchedPrio(res))
-			report.Prio = res
+			rep.Prio = res
 		}
-		if err := bench.WriteSchedReport(*schedOut, report); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("scheduler report written to %s\n", *schedOut)
+		report("sched", rep)
 	}
 	if *opsBench {
 		res, err := bench.RunOpsOverhead(cfg)
@@ -304,10 +320,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatOpsOverhead(res))
-		if err := bench.WriteOpsReport(*opsOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ops overhead report written to %s\n", *opsOut)
+		report("ops", res)
+		gate(checkOps(res))
 	}
 	if *profBench {
 		res, err := bench.RunProfOverhead(cfg)
@@ -315,23 +329,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatProfOverhead(res))
-		if err := bench.WriteProfReport(*profOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("profiler overhead report written to %s\n", *profOut)
-		if *profCheck {
-			switch {
-			case res.Overhead > 5:
-				finishErr = fmt.Errorf("prof check: profiler overhead %.2f%% exceeds the 5%% budget", res.Overhead)
-			case res.On.Samples == 0:
-				finishErr = fmt.Errorf("prof check: the on arm folded zero cpu samples")
-			case !strings.Contains(res.HotMethod, "."):
-				finishErr = fmt.Errorf("prof check: hottest method %q is not a guest method", res.HotMethod)
-			default:
-				fmt.Printf("prof check: ok (%+.2f%% cpu, %d samples, hottest %s)\n",
-					res.Overhead, res.On.Samples, res.HotMethod)
-			}
-		}
+		report("prof", res)
+		gate(checkProf(res))
 	}
 	if *fleetN > 0 {
 		var counts []int
@@ -354,27 +353,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatFleet(res))
-		if err := bench.WriteFleetReport(*fleetOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("fleet report written to %s\n", *fleetOut)
-		if *fleetCheck {
-			for _, pt := range res.Points {
-				for _, arm := range []bench.FleetArm{pt.Single, pt.Multi} {
-					if arm.Evictions != 0 || arm.Failed != 0 {
-						finishErr = fmt.Errorf("fleet check: %d tenants on %d shards saw %d evictions, %d failures",
-							pt.Tenants, arm.Shards, arm.Evictions, arm.Failed)
-					}
-					if arm.MinTenantSlices <= 0 {
-						finishErr = fmt.Errorf("fleet check: %d tenants on %d shards: a tenant's slice counter stayed zero",
-							pt.Tenants, arm.Shards)
-					}
-				}
-			}
-			if finishErr == nil {
-				fmt.Println("fleet check: ok (zero evictions, every tenant counter nonzero)")
-			}
-		}
+		report("fleet", res)
+		gate(checkFleet(res))
 	}
 	if *interp {
 		res, err := bench.RunInterp(bench.InterpParams{
@@ -385,20 +365,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.FormatInterp(res))
-		if err := bench.WriteInterpReport(*interpOut, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("interp report written to %s\n", *interpOut)
-		if *interpCheck {
-			switch {
-			case !res.OutputMatch:
-				finishErr = fmt.Errorf("interp check: quickened output diverged from generic")
-			case res.SpeedupP50 < 2:
-				finishErr = fmt.Errorf("interp check: quickened arm only %.2fx faster at p50 (need >= 2x)", res.SpeedupP50)
-			default:
-				fmt.Printf("interp check: ok (%.2fx at p50, outputs identical)\n", res.SpeedupP50)
-			}
-		}
+		report("interp", res)
+		gate(checkInterp(res))
 	}
 	if !anyFigure {
 		if err := runTelemetryPass(cfg); err != nil {
@@ -409,6 +377,63 @@ func main() {
 	if finishErr != nil {
 		os.Exit(1)
 	}
+}
+
+// The -check gates: each returns its "ok" line or the violated bound.
+
+func checkSched(r *bench.SchedBatchResult) (string, error) {
+	if ratio := r.SuspensionRatio(); ratio < 5 {
+		return "", fmt.Errorf("sched check: suspension reduction only %.1fx (need >= 5x)", ratio)
+	}
+	return fmt.Sprintf("sched check: ok (%.1fx fewer suspension round trips)", r.SuspensionRatio()), nil
+}
+
+func checkOps(r *bench.OpsOverheadResult) (string, error) {
+	switch {
+	case r.On.FlightEvents == 0:
+		return "", fmt.Errorf("ops check: the flight arm recorded nothing")
+	case r.Overhead > 5:
+		return "", fmt.Errorf("ops check: flight overhead %.2f%% exceeds the 5%% budget", r.Overhead)
+	}
+	return fmt.Sprintf("ops check: ok (%+.2f%% cpu, %d flight events)", r.Overhead, r.On.FlightEvents), nil
+}
+
+func checkProf(r *bench.ProfOverheadResult) (string, error) {
+	switch {
+	case r.Overhead > 5:
+		return "", fmt.Errorf("prof check: profiler overhead %.2f%% exceeds the 5%% budget", r.Overhead)
+	case r.On.Samples == 0:
+		return "", fmt.Errorf("prof check: the on arm folded zero cpu samples")
+	case !strings.Contains(r.HotMethod, "."):
+		return "", fmt.Errorf("prof check: hottest method %q is not a guest method", r.HotMethod)
+	}
+	return fmt.Sprintf("prof check: ok (%+.2f%% cpu, %d samples, hottest %s)", r.Overhead, r.On.Samples, r.HotMethod), nil
+}
+
+func checkFleet(r *bench.FleetResult) (string, error) {
+	for _, pt := range r.Points {
+		for _, arm := range []bench.FleetArm{pt.Single, pt.Multi} {
+			if arm.Evictions != 0 || arm.Failed != 0 {
+				return "", fmt.Errorf("fleet check: %d tenants on %d shards saw %d evictions, %d failures",
+					pt.Tenants, arm.Shards, arm.Evictions, arm.Failed)
+			}
+			if arm.MinTenantSlices <= 0 {
+				return "", fmt.Errorf("fleet check: %d tenants on %d shards: a tenant's slice counter stayed zero",
+					pt.Tenants, arm.Shards)
+			}
+		}
+	}
+	return "fleet check: ok (zero evictions, every tenant counter nonzero)", nil
+}
+
+func checkInterp(r *bench.InterpResult) (string, error) {
+	switch {
+	case !r.OutputMatch:
+		return "", fmt.Errorf("interp check: quickened output diverged from generic")
+	case r.SpeedupP50 < 2:
+		return "", fmt.Errorf("interp check: quickened arm only %.2fx faster at p50 (need >= 2x)", r.SpeedupP50)
+	}
+	return fmt.Sprintf("interp check: ok (%.2fx at p50, outputs identical)", r.SpeedupP50), nil
 }
 
 // runTelemetryPass exercises the instrumented runtime when no figure

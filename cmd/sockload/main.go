@@ -60,7 +60,7 @@ func main() {
 	}
 	fmt.Print(bench.FormatSock(res))
 	if *out != "" {
-		if err := bench.WriteSockReport(*out, res); err != nil {
+		if err := bench.WriteReport(*out, res); err != nil {
 			fmt.Fprintln(os.Stderr, "sockload: write report:", err)
 			os.Exit(1)
 		}

@@ -28,7 +28,8 @@ type Config struct {
 	// Scale multiplies workload sizes; 1 is a CI-friendly quick run,
 	// 3-5 approaches paper-scale runtimes.
 	Scale int
-	// Browsers to sweep; defaults to the paper's five (Figure 3).
+	// Browsers to sweep; defaults to the paper's five (Figure 3),
+	// Chrome 28 first. Single-browser harnesses run on Browsers[0].
 	Browsers []browser.Profile
 	// Timeslice for the Doppio execution environment.
 	Timeslice time.Duration

@@ -148,24 +148,26 @@ func TestEngineTaxOrdering(t *testing.T) {
 	spec := WorkloadSpec{ID: "pidigits", Main: "PiDigits",
 		Args: func(int) []string { return []string{"25"} }}
 	cfg := Config{Scale: 1}
-	chrome, err := RunDoppio(spec, 1, browser.Chrome28, cfg)
+	doppio := func(p browser.Profile) func() (*DoppioRun, error) {
+		return func() (*DoppioRun, error) { return RunDoppio(spec, 1, p, cfg) }
+	}
+	browsers, err := runPairs(figurePairs, doppio(browser.Chrome28), doppio(browser.IE8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie8, err := RunDoppio(spec, 1, browser.IE8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ie8.Wall <= chrome.Wall {
-		t.Errorf("IE8 (%v) not slower than Chrome (%v)", ie8.Wall, chrome.Wall)
+	if r := median(browsers.ratios(runWall, runWall)); r <= 1 {
+		t.Errorf("IE8 not slower than Chrome: median IE8/Chrome wall ratio %.2f", r)
 	}
 	// And the taxed Chrome run lands well above the native baseline.
-	nativeT, _, err := RunNative(spec, 1)
+	native := func() (*DoppioRun, error) {
+		wall, _, err := RunNative(spec, 1)
+		return &DoppioRun{Wall: wall}, err
+	}
+	taxed, err := runPairs(figurePairs, native, doppio(browser.Chrome28))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(chrome.Wall) / float64(nativeT)
-	if ratio < 5 {
-		t.Errorf("taxed Chrome slowdown %.1fx implausibly low", ratio)
+	if r := median(taxed.ratios(runWall, runWall)); r < 5 {
+		t.Errorf("taxed Chrome slowdown %.1fx implausibly low", r)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -31,31 +32,68 @@ type Fig3Result struct {
 	GeoMean map[string]float64
 }
 
+// figurePairs is the number of native/Doppio pairs behind each Figure
+// 3 and Figure 4 cell.
+const figurePairs = 5
+
+// runCell measures one (workload, browser) cell as figurePairs
+// interleaved pairs (runPairs), native as arm A and Doppio as arm B.
+// Native runs carry only Wall and Output. Every run's output must
+// match the first run's, native's warm-up.
+func runCell(spec WorkloadSpec, p browser.Profile, cfg Config) (pairs[*DoppioRun], error) {
+	var want *string
+	check := func(run *DoppioRun, err error) (*DoppioRun, error) {
+		if err != nil {
+			return nil, err
+		}
+		if want == nil {
+			want = &run.Output
+		} else if run.Output != *want {
+			return nil, fmt.Errorf("%s on %s: engines disagree:\nnative: %q\nthis run: %q",
+				spec.ID, p.Name, *want, run.Output)
+		}
+		return run, nil
+	}
+	native := func() (*DoppioRun, error) {
+		wall, out, err := RunNative(spec, cfg.Scale)
+		if err != nil {
+			return nil, fmt.Errorf("native %s: %w", spec.ID, err)
+		}
+		return check(&DoppioRun{Wall: wall, Output: out}, nil)
+	}
+	doppio := func() (*DoppioRun, error) { return check(RunDoppio(spec, cfg.Scale, p, cfg)) }
+	return runPairs(figurePairs, native, doppio)
+}
+
+func runWall(r *DoppioRun) time.Duration { return r.Wall }
+func runCPU(r *DoppioRun) time.Duration  { return r.CPU }
+
+// medianRun is the run with the nearest-rank median wall time.
+func medianRun(runs []*DoppioRun) *DoppioRun {
+	s := append([]*DoppioRun(nil), runs...)
+	sort.Slice(s, func(i, j int) bool { return s[i].Wall < s[j].Wall })
+	return s[(len(s)-1)/2]
+}
+
 // RunFig3 reproduces Figure 3: DoppioJVM vs the native baseline on the
-// four macro workloads across the browser population.
+// four macro workloads across the browser population. Each slowdown
+// is the median per-pair wall ratio.
 func RunFig3(cfg Config) (*Fig3Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Fig3Result{GeoMean: map[string]float64{}}
 	for _, spec := range Fig3Workloads {
-		nativeT, nativeOut, err := RunNative(spec, cfg.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("native %s: %w", spec.ID, err)
-		}
 		for _, p := range cfg.Browsers {
-			run, err := RunDoppio(spec, cfg.Scale, p, cfg)
+			pr, err := runCell(spec, p, cfg)
 			if err != nil {
 				return nil, err
 			}
-			if run.Output != nativeOut {
-				return nil, fmt.Errorf("%s on %s: engines disagree:\nnative: %q\ndoppio: %q",
-					spec.ID, p.Name, nativeOut, run.Output)
-			}
+			run := medianRun(pr.B)
 			res.Cells = append(res.Cells, Fig3Cell{
 				Workload: spec.ID,
 				Browser:  p.Name,
 				Doppio:   run.Wall,
-				Native:   nativeT,
-				Slowdown: float64(run.Wall) / float64(nativeT),
+				Native:   medianRun(pr.A).Wall,
+				Slowdown: median(pr.ratios(runWall, runWall)),
 				Output:   run.Output,
 			})
 		}
@@ -75,7 +113,9 @@ func RunFig3(cfg Config) (*Fig3Result, error) {
 	return res, nil
 }
 
-// MicroResult is one Figure 4/5 measurement.
+// MicroResult is one Figure 4/5 measurement. The time and suspension
+// columns come from the Doppio run with the median wall; the
+// slowdowns are median per-pair ratios.
 type MicroResult struct {
 	Workload     string
 	Browser      string
@@ -91,33 +131,27 @@ type MicroResult struct {
 
 // RunFig45 reproduces Figures 4 and 5: the DeltaBlue and pidigits
 // microbenchmarks with CPU time, wall-clock time, and suspension
-// accounting per browser.
+// accounting per browser. Both slowdowns divide by the native wall.
 func RunFig45(cfg Config) ([]MicroResult, error) {
 	cfg = cfg.withDefaults()
 	var out []MicroResult
 	for _, spec := range MicroWorkloads {
-		nativeT, nativeOut, err := RunNative(spec, cfg.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("native %s: %w", spec.ID, err)
-		}
 		for _, p := range cfg.Browsers {
-			run, err := RunDoppio(spec, cfg.Scale, p, cfg)
+			pr, err := runCell(spec, p, cfg)
 			if err != nil {
 				return nil, err
 			}
-			if run.Output != nativeOut {
-				return nil, fmt.Errorf("%s on %s: engines disagree", spec.ID, p.Name)
-			}
+			run := medianRun(pr.B)
 			out = append(out, MicroResult{
 				Workload:     spec.ID,
 				Browser:      p.Name,
-				Native:       nativeT,
+				Native:       medianRun(pr.A).Wall,
 				Wall:         run.Wall,
 				CPU:          run.CPU,
 				Suspended:    run.Suspended,
 				Suspensions:  run.Suspensions,
-				WallSlowdown: float64(run.Wall) / float64(nativeT),
-				CPUSlowdown:  float64(run.CPU) / float64(nativeT),
+				WallSlowdown: median(pr.ratios(runWall, runWall)),
+				CPUSlowdown:  median(pr.ratios(runCPU, runWall)),
 				SuspendPct:   100 * float64(run.Suspended) / float64(run.Wall),
 			})
 		}

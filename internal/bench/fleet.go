@@ -7,10 +7,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -500,21 +498,6 @@ func runFleetArm(p FleetParams, assets *fleetAssets, n, shards int) (FleetArm, e
 	return arm, nil
 }
 
-// nearestRank is the exact nearest-rank percentile of a sorted sample.
-func nearestRank(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(q*float64(len(sorted)) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 // minTenantSlices scans the hub for the per-tenant slice counters the
 // shards publish and returns the smallest value — zero if any tenant
 // is missing its series (which the CI smoke treats as a failure).
@@ -565,14 +548,4 @@ func minInt64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// WriteFleetReport writes the sweep as indented JSON
-// (BENCH_fleet.json).
-func WriteFleetReport(path string, r *FleetResult) error {
-	data, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

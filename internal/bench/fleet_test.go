@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRunFleetSmall runs a miniature sweep of the fleet benchmark:
 // every workload mix must complete cleanly (no failures, no
@@ -43,35 +40,5 @@ func TestRunFleetSmall(t *testing.T) {
 		if got := FormatFleet(res); got == "" {
 			t.Errorf("%s: empty format", workload)
 		}
-	}
-}
-
-// TestNearestRank pins the percentile convention: exact nearest-rank
-// over the raw sample, no interpolation.
-func TestNearestRank(t *testing.T) {
-	sample := make([]time.Duration, 100)
-	for i := range sample {
-		sample[i] = time.Duration(i+1) * time.Millisecond
-	}
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 50 * time.Millisecond},
-		{0.95, 95 * time.Millisecond},
-		{0.99, 99 * time.Millisecond},
-		{0.999, 100 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := nearestRank(sample, c.q); got != c.want {
-			t.Errorf("p%v = %v, want %v", c.q*100, got, c.want)
-		}
-	}
-	if nearestRank(nil, 0.5) != 0 {
-		t.Error("empty sample should yield 0")
-	}
-	one := []time.Duration{7 * time.Millisecond}
-	if got := nearestRank(one, 0.999); got != one[0] {
-		t.Errorf("singleton p999 = %v", got)
 	}
 }

@@ -79,10 +79,7 @@ func newWindowFS(profile browser.Profile) (*browser.Window, *buffer.Factory) {
 // pass honestly cold.
 func RunFSCache(cfg Config, p FSCacheParams) (*FSCacheResult, error) {
 	cfg = cfg.withDefaults()
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	hub := cfg.Telemetry
 	if hub == nil {
 		// Backend-op counting rides on Instrument, which needs a hub.
@@ -213,10 +210,7 @@ type ClassloadABResult struct {
 // selected backend, bare and cached.
 func RunClassloadFSCache(cfg Config, backendName string, writeBack bool, latency time.Duration) (*ClassloadABResult, error) {
 	cfg = cfg.withDefaults()
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	hub := cfg.Telemetry
 	if hub == nil {
 		hub = telemetry.NewHub()

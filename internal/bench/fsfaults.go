@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"doppio/internal/bench/workloads"
-	"doppio/internal/browser"
 	"doppio/internal/fleet"
 	"doppio/internal/fstrace"
 	"doppio/internal/jvm"
@@ -98,10 +97,7 @@ func (r *FSFaultsResult) BitIdentical() bool { return r.Diff == "" }
 // both passes start from identical trees.
 func RunFSFaults(cfg Config, p FSFaultsParams) (*FSFaultsResult, error) {
 	cfg = cfg.withDefaults()
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	hub := cfg.Telemetry
 	if hub == nil {
 		hub = telemetry.NewHub()
@@ -227,10 +223,7 @@ type ClassloadFaultsResult struct {
 // under an unreliable backend.
 func RunClassloadFaults(cfg Config, backendName string, rate float64, seed int64, latency time.Duration) (*ClassloadFaultsResult, error) {
 	cfg = cfg.withDefaults()
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	hub := cfg.Telemetry
 	if hub == nil {
 		hub = telemetry.NewHub()

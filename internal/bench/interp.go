@@ -10,9 +10,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -94,11 +92,21 @@ type InterpResult struct {
 	OutputMatch bool `json:"output_match"`
 }
 
+// interpRun is one execution of the workload.
+type interpRun struct {
+	wall         time.Duration
+	instructions int64
+	stats        jvm.QuickStats
+	output       string
+}
+
+func interpWall(r interpRun) time.Duration { return r.wall }
+
 // runInterpOnce executes the workload once on a fresh window and VM.
-func runInterpOnce(spec WorkloadSpec, p InterpParams, quicken bool, hub *telemetry.Hub) (time.Duration, int64, jvm.QuickStats, string, error) {
+func runInterpOnce(spec WorkloadSpec, p InterpParams, quicken bool, hub *telemetry.Hub) (interpRun, error) {
 	classes, err := workloads.Classes()
 	if err != nil {
-		return 0, 0, jvm.QuickStats{}, "", err
+		return interpRun{}, err
 	}
 	env := fleet.NewEnv(browser.Chrome28, hub)
 	var stdout strings.Builder
@@ -111,16 +119,16 @@ func runInterpOnce(spec WorkloadSpec, p InterpParams, quicken bool, hub *telemet
 	})
 	start := time.Now()
 	if err := vm.RunMain(spec.Main, spec.Args(p.Scale)); err != nil {
-		return 0, 0, jvm.QuickStats{}, "", fmt.Errorf("interp %s quicken=%v: %w\n%s", spec.ID, quicken, err, stdout.String())
+		return interpRun{}, fmt.Errorf("interp %s quicken=%v: %w\n%s", spec.ID, quicken, err, stdout.String())
 	}
-	return time.Since(start), vm.Instructions, vm.QuickStats(), stdout.String(), nil
+	return interpRun{time.Since(start), vm.Instructions, vm.QuickStats(), stdout.String()}, nil
 }
 
 // attribution runs one instrumented pass and extracts the top-K
 // per-opcode execution counts the VM flushed into the hub registry.
 func attribution(spec WorkloadSpec, p InterpParams, quicken bool, k int) ([]OpCount, error) {
 	hub := telemetry.NewHub()
-	if _, _, _, _, err := runInterpOnce(spec, p, quicken, hub); err != nil {
+	if _, err := runInterpOnce(spec, p, quicken, hub); err != nil {
 		return nil, err
 	}
 	var rows []OpCount
@@ -144,7 +152,8 @@ func attribution(spec WorkloadSpec, p InterpParams, quicken bool, k int) ([]OpCo
 	return rows, nil
 }
 
-// RunInterp runs the interleaved A/B and assembles the report.
+// RunInterp runs the generic/quickened A/B as p.Iters interleaved
+// pairs (runPairs) and assembles the report.
 func RunInterp(p InterpParams) (*InterpResult, error) {
 	p = p.withDefaults()
 	spec := MicroWorkloads[0] // DeltaBlue: field- and virtual-call-heavy
@@ -156,47 +165,44 @@ func RunInterp(p InterpParams) (*InterpResult, error) {
 		Cores:       runtime.GOMAXPROCS(0),
 		OutputMatch: true,
 	}
-	// One warm-up per arm (class-file parsing touches the page cache
-	// and the Go runtime warms up); not timed.
-	if _, _, _, _, err := runInterpOnce(spec, p, false, nil); err != nil {
+	var want string // the first run's output; every later run must match it
+	arm := func(quicken bool) func() (interpRun, error) {
+		return func() (interpRun, error) {
+			r, err := runInterpOnce(spec, p, quicken, nil)
+			if err == nil {
+				if want == "" {
+					want = r.output
+				} else if r.output != want {
+					res.OutputMatch = false
+				}
+			}
+			return r, err
+		}
+	}
+	pr, err := runPairs(p.Iters, arm(false), arm(true))
+	if err != nil {
 		return nil, err
 	}
-	if _, _, _, _, err := runInterpOnce(spec, p, true, nil); err != nil {
-		return nil, err
+	gen, quick := sortedBy(pr.A, interpWall), sortedBy(pr.B, interpWall)
+	last := pr.B[len(pr.B)-1]
+	res.Generic = InterpArm{
+		P50:          nearestRank(gen, 0.50),
+		P95:          nearestRank(gen, 0.95),
+		P99:          nearestRank(gen, 0.99),
+		Instructions: pr.A[len(pr.A)-1].instructions,
 	}
-	var genTimes, qTimes []time.Duration
-	for i := 0; i < p.Iters; i++ {
-		gw, gi, _, gout, err := runInterpOnce(spec, p, false, nil)
-		if err != nil {
-			return nil, err
-		}
-		qw, qi, qst, qout, err := runInterpOnce(spec, p, true, nil)
-		if err != nil {
-			return nil, err
-		}
-		genTimes = append(genTimes, gw)
-		qTimes = append(qTimes, qw)
-		res.Generic.Instructions = gi
-		res.Quickened.Instructions = qi
-		res.Quickened.Stats = qst
-		if gout != qout {
-			res.OutputMatch = false
-		}
+	res.Quickened = InterpArm{
+		Quicken:      true,
+		P50:          nearestRank(quick, 0.50),
+		P95:          nearestRank(quick, 0.95),
+		P99:          nearestRank(quick, 0.99),
+		Instructions: last.instructions,
+		Stats:        last.stats,
 	}
-	sort.Slice(genTimes, func(i, j int) bool { return genTimes[i] < genTimes[j] })
-	sort.Slice(qTimes, func(i, j int) bool { return qTimes[i] < qTimes[j] })
-	res.Generic.P50 = nearestRank(genTimes, 0.50)
-	res.Generic.P95 = nearestRank(genTimes, 0.95)
-	res.Generic.P99 = nearestRank(genTimes, 0.99)
-	res.Quickened.Quicken = true
-	res.Quickened.P50 = nearestRank(qTimes, 0.50)
-	res.Quickened.P95 = nearestRank(qTimes, 0.95)
-	res.Quickened.P99 = nearestRank(qTimes, 0.99)
 	if res.Quickened.P50 > 0 {
 		res.SpeedupP50 = float64(res.Generic.P50) / float64(res.Quickened.P50)
 	}
 	const topK = 12
-	var err error
 	if res.Generic.TopOps, err = attribution(spec, p, false, topK); err != nil {
 		return nil, err
 	}
@@ -228,19 +234,4 @@ func FormatInterp(r *InterpResult) string {
 		fmt.Fprintf(&b, "    %-16s %12d  %5.1f%%\n", row.Op, row.Count, 100*row.Share)
 	}
 	return b.String()
-}
-
-// WriteInterpReport writes the JSON report.
-func WriteInterpReport(path string, r *InterpResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

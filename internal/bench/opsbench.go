@@ -8,10 +8,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -119,14 +116,13 @@ type OpsOverheadResult struct {
 	Budget   time.Duration `json:"timeslice_ns"`
 }
 
-// opsOverheadRuns is the repetition count each arm takes the minimum
-// over.
+// opsOverheadRuns is the number of off/on pairs.
 const opsOverheadRuns = 15
 
 // RunOpsOverhead measures the flight recorder's cost on a CPU-bound
-// multithreaded workload: opsOverheadRuns interleaved off/on pairs,
-// each arm keeping its best wall and CPU; Overhead is the trimmed
-// (interquartile) mean per-pair CPU slowdown in percent.
+// multithreaded workload: opsOverheadRuns interleaved off/on pairs
+// (runPairs), each arm keeping its best wall and CPU; Overhead is the
+// interquartile mean of the per-pair CPU ratios, in percent.
 func RunOpsOverhead(cfg Config) (*OpsOverheadResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Timeslice == 0 {
@@ -138,9 +134,13 @@ func RunOpsOverhead(cfg Config) (*OpsOverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
+	profile := cfg.Browsers[0]
+	arm := func(flight bool) func() (OpsArm, error) {
+		return func() (OpsArm, error) { return runOpsOnce(cfg, profile, classes, flight) }
+	}
+	p, err := runPairs(opsOverheadRuns, arm(false), arm(true))
+	if err != nil {
+		return nil, err
 	}
 	res := &OpsOverheadResult{
 		Workload: fmt.Sprintf("burn+handoff n=%d", n),
@@ -148,77 +148,23 @@ func RunOpsOverhead(cfg Config) (*OpsOverheadResult, error) {
 		Runs:     opsOverheadRuns,
 		Budget:   cfg.Timeslice,
 	}
-	res.Off = OpsArm{Mode: "flight-off"}
-	res.On = OpsArm{Mode: "flight-on"}
-	// One untimed warm-up run (process-level warm-up — allocator
-	// growth, page faults — would otherwise be charged to whichever
-	// arm runs first), then interleaved off/on pairs so machine drift
-	// over the measurement affects both arms alike. Each arm keeps its
-	// best wall.
-	if err := runOpsOnce(cfg, profile, classes, false, nil); err != nil {
-		return nil, err
-	}
-	ratios := make([]float64, 0, opsOverheadRuns)
-	for i := 0; i < opsOverheadRuns; i++ {
-		var off, on OpsArm
-		// Alternate which arm goes first: the second run of a pair
-		// systematically sees a slightly different machine (cache
-		// residency, thermal state), and a fixed order would turn that
-		// into a fake overhead.
-		first, second, firstArm, secondArm := false, true, &off, &on
-		if i%2 == 1 {
-			first, second, firstArm, secondArm = true, false, &on, &off
-		}
-		if err := runOpsOnce(cfg, profile, classes, first, firstArm); err != nil {
-			return nil, err
-		}
-		if err := runOpsOnce(cfg, profile, classes, second, secondArm); err != nil {
-			return nil, err
-		}
-		if off.CPU > 0 {
-			ratios = append(ratios, float64(on.CPU)/float64(off.CPU))
-		}
-		res.Off.fold(off)
-		res.On.fold(on)
-	}
-	// Overhead is the interquartile mean of the per-pair CPU ratios,
-	// not the ratio of the minima: adjacent runs share the machine's
-	// momentary speed (frequency scaling, co-tenant load), so a pair's
-	// ratio cancels drift that would swamp a floor-vs-floor comparison;
-	// trimming the top and bottom quartile discards pairs that
-	// straddled a speed transition, and averaging the middle half uses
-	// more of the sample than a lone median would.
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		lo, hi := len(ratios)/4, len(ratios)-len(ratios)/4
-		var sum float64
-		for _, r := range ratios[lo:hi] {
-			sum += r
-		}
-		res.Overhead = 100 * (sum/float64(hi-lo) - 1)
+	res.Off = OpsArm{Mode: "flight-off", Wall: sortedBy(p.A, opsWall)[0], CPU: sortedBy(p.A, opsCPU)[0]}
+	res.On = OpsArm{Mode: "flight-on", Wall: sortedBy(p.B, opsWall)[0], CPU: sortedBy(p.B, opsCPU)[0],
+		FlightEvents: p.B[len(p.B)-1].FlightEvents}
+	if r := p.ratios(opsCPU, opsCPU); len(r) > 0 {
+		res.Overhead = 100 * (iqMean(r) - 1)
 	}
 	return res, nil
 }
 
-// fold merges one repetition into the arm's best-so-far numbers.
-func (a *OpsArm) fold(run OpsArm) {
-	if a.CPU == 0 || (run.CPU > 0 && run.CPU < a.CPU) {
-		a.CPU = run.CPU
-	}
-	if a.Wall == 0 || (run.Wall > 0 && run.Wall < a.Wall) {
-		a.Wall = run.Wall
-	}
-	if run.FlightEvents > 0 {
-		a.FlightEvents = run.FlightEvents
-	}
-}
+func opsCPU(a OpsArm) time.Duration  { return a.CPU }
+func opsWall(a OpsArm) time.Duration { return a.Wall }
 
-// runOpsOnce executes one repetition and folds its best-so-far wall
-// and CPU into arm (nil arm = untimed warm-up).
-func runOpsOnce(cfg Config, profile browser.Profile, classes map[string][]byte, flight bool, arm *OpsArm) error {
-	mode := "flight-off"
+// runOpsOnce executes one run on a fresh window and VM.
+func runOpsOnce(cfg Config, profile browser.Profile, classes map[string][]byte, flight bool) (OpsArm, error) {
+	arm := OpsArm{Mode: "flight-off"}
 	if flight {
-		mode = "flight-on"
+		arm.Mode = "flight-on"
 	}
 	hub := telemetry.NewHub()
 	if flight {
@@ -234,25 +180,17 @@ func runOpsOnce(cfg Config, profile browser.Profile, classes map[string][]byte, 
 	})
 	start := time.Now()
 	if err := vm.RunMain("OpsBench", nil); err != nil {
-		return fmt.Errorf("%s arm: %w\n%s", mode, err, stdout.String())
+		return arm, fmt.Errorf("%s arm: %w\n%s", arm.Mode, err, stdout.String())
 	}
-	wall := time.Since(start)
+	arm.Wall = time.Since(start)
 	if !strings.Contains(stdout.String(), "sum ") {
-		return fmt.Errorf("%s arm produced no output", mode)
+		return arm, fmt.Errorf("%s arm produced no output", arm.Mode)
 	}
-	if arm == nil {
-		return nil // warm-up run: not timed
-	}
-	if cpu := vm.Runtime().Stats().CPUTime; arm.CPU == 0 || cpu < arm.CPU {
-		arm.CPU = cpu
-	}
-	if arm.Wall == 0 || wall < arm.Wall {
-		arm.Wall = wall
-	}
+	arm.CPU = vm.Runtime().Stats().CPUTime
 	if flight {
 		arm.FlightEvents = hub.Flight.Total()
 	}
-	return nil
+	return arm, nil
 }
 
 // FormatOpsOverhead renders the comparison.
@@ -266,14 +204,4 @@ func FormatOpsOverhead(r *OpsOverheadResult) string {
 		r.On.Mode, r.On.Wall.Round(time.Millisecond), r.On.CPU.Round(time.Millisecond), r.On.FlightEvents)
 	fmt.Fprintf(&b, "  overhead: %+.2f%% (cpu)\n", r.Overhead)
 	return b.String()
-}
-
-// WriteOpsReport writes the overhead result as indented JSON
-// (BENCH_ops.json).
-func WriteOpsReport(path string, r *OpsOverheadResult) error {
-	data, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

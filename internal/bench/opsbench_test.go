@@ -30,7 +30,7 @@ func TestRunOpsOverhead(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_ops.json")
-	if err := WriteOpsReport(path, res); err != nil {
+	if err := WriteReport(path, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

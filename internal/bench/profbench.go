@@ -8,10 +8,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -35,6 +32,8 @@ type ProfArm struct {
 	// Samples is how many CPU samples the arm's profiler folded (zero
 	// on the off arm — the profiler is nil, not merely idle).
 	Samples int64 `json:"samples"`
+
+	hotMethod string // the run's hottest guest method (on arm only)
 }
 
 // ProfOverheadResult is the profiler on/off A/B.
@@ -52,16 +51,14 @@ type ProfOverheadResult struct {
 	HotMethod string `json:"hot_method"`
 }
 
-// profOverheadRuns is the repetition count each arm takes the minimum
-// over.
+// profOverheadRuns is the number of off/on pairs.
 const profOverheadRuns = 15
 
-// RunProfOverhead measures the sampling profiler's cost on DeltaBlue:
-// profOverheadRuns interleaved off/on pairs, each arm keeping its best
-// wall and CPU; Overhead is the trimmed (interquartile) mean per-pair
-// CPU slowdown in percent — the same pair-ratio methodology as the
-// flight-recorder A/B, for the same reason (adjacent runs share the
-// machine's momentary speed, so a pair's ratio cancels drift).
+// RunProfOverhead measures the sampling profiler's cost on DeltaBlue
+// with the flight-recorder A/B's method: profOverheadRuns interleaved
+// off/on pairs (runPairs), each arm keeping its best wall and CPU;
+// Overhead is the interquartile mean of the per-pair CPU ratios, in
+// percent.
 func RunProfOverhead(cfg Config) (*ProfOverheadResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Timeslice == 0 {
@@ -72,77 +69,40 @@ func RunProfOverhead(cfg Config) (*ProfOverheadResult, error) {
 		return nil, err
 	}
 	spec := MicroWorkloads[0] // DeltaBlue
-	prof := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		prof = cfg.Browsers[0]
+	prof := cfg.Browsers[0]
+	arm := func(profiling bool) func() (ProfArm, error) {
+		return func() (ProfArm, error) { return runProfOnce(cfg, prof, spec, classes, profiling) }
 	}
-	res := &ProfOverheadResult{
-		Workload: spec.ID,
-		Browser:  prof.Name,
-		Runs:     profOverheadRuns,
-		Budget:   cfg.Timeslice,
-	}
-	res.Off = ProfArm{Mode: "prof-off"}
-	res.On = ProfArm{Mode: "prof-on"}
-	// One untimed warm-up, then interleaved off/on pairs with
-	// alternating order (see opsbench.go for why).
-	if err := runProfOnce(cfg, prof, spec, classes, false, nil, res); err != nil {
+	p, err := runPairs(profOverheadRuns, arm(false), arm(true))
+	if err != nil {
 		return nil, err
 	}
-	ratios := make([]float64, 0, profOverheadRuns)
-	for i := 0; i < profOverheadRuns; i++ {
-		var off, on ProfArm
-		first, second, firstArm, secondArm := false, true, &off, &on
-		if i%2 == 1 {
-			first, second, firstArm, secondArm = true, false, &on, &off
-		}
-		if err := runProfOnce(cfg, prof, spec, classes, first, firstArm, res); err != nil {
-			return nil, err
-		}
-		if err := runProfOnce(cfg, prof, spec, classes, second, secondArm, res); err != nil {
-			return nil, err
-		}
-		if off.CPU > 0 {
-			ratios = append(ratios, float64(on.CPU)/float64(off.CPU))
-		}
-		res.Off.fold(off)
-		res.On.fold(on)
+	last := p.B[len(p.B)-1]
+	res := &ProfOverheadResult{
+		Workload:  spec.ID,
+		Browser:   prof.Name,
+		Runs:      profOverheadRuns,
+		Budget:    cfg.Timeslice,
+		HotMethod: last.hotMethod,
 	}
-	// Interquartile mean of the per-pair CPU ratios (not the ratio of
-	// the minima) — trimming discards pairs that straddled a machine
-	// speed transition.
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		lo, hi := len(ratios)/4, len(ratios)-len(ratios)/4
-		var sum float64
-		for _, r := range ratios[lo:hi] {
-			sum += r
-		}
-		res.Overhead = 100 * (sum/float64(hi-lo) - 1)
+	res.Off = ProfArm{Mode: "prof-off", Wall: sortedBy(p.A, profWall)[0], CPU: sortedBy(p.A, profCPU)[0]}
+	res.On = ProfArm{Mode: "prof-on", Wall: sortedBy(p.B, profWall)[0], CPU: sortedBy(p.B, profCPU)[0],
+		Samples: last.Samples}
+	if r := p.ratios(profCPU, profCPU); len(r) > 0 {
+		res.Overhead = 100 * (iqMean(r) - 1)
 	}
 	return res, nil
 }
 
-// fold merges one repetition into the arm's best-so-far numbers.
-func (a *ProfArm) fold(run ProfArm) {
-	if a.CPU == 0 || (run.CPU > 0 && run.CPU < a.CPU) {
-		a.CPU = run.CPU
-	}
-	if a.Wall == 0 || (run.Wall > 0 && run.Wall < a.Wall) {
-		a.Wall = run.Wall
-	}
-	if run.Samples > 0 {
-		a.Samples = run.Samples
-	}
-}
+func profCPU(a ProfArm) time.Duration  { return a.CPU }
+func profWall(a ProfArm) time.Duration { return a.Wall }
 
-// runProfOnce executes one repetition on a fresh window and VM and
-// folds its wall and CPU into arm (nil arm = untimed warm-up).
-func runProfOnce(cfg Config, prof browser.Profile, spec WorkloadSpec, classes map[string][]byte, profiling bool, arm *ProfArm, res *ProfOverheadResult) error {
-	mode := "prof-off"
+// runProfOnce executes one run on a fresh window and VM.
+func runProfOnce(cfg Config, prof browser.Profile, spec WorkloadSpec, classes map[string][]byte, profiling bool) (ProfArm, error) {
+	arm := ProfArm{Mode: "prof-off"}
 	var gp *profile.Profiler
 	if profiling {
-		mode = "prof-on"
+		arm.Mode = "prof-on"
 		gp = profile.New(profile.Options{})
 	}
 	env := fleet.NewEnv(prof, nil)
@@ -156,28 +116,20 @@ func runProfOnce(cfg Config, prof browser.Profile, spec WorkloadSpec, classes ma
 	})
 	start := time.Now()
 	if err := vm.RunMain(spec.Main, spec.Args(cfg.Scale)); err != nil {
-		return fmt.Errorf("%s arm: %w\n%s", mode, err, stdout.String())
+		return arm, fmt.Errorf("%s arm: %w\n%s", arm.Mode, err, stdout.String())
 	}
-	wall := time.Since(start)
+	arm.Wall = time.Since(start)
 	if stdout.Len() == 0 {
-		return fmt.Errorf("%s arm produced no output", mode)
+		return arm, fmt.Errorf("%s arm produced no output", arm.Mode)
 	}
-	if arm == nil {
-		return nil // warm-up run: not timed
-	}
-	if cpu := vm.Runtime().Stats().CPUTime; arm.CPU == 0 || cpu < arm.CPU {
-		arm.CPU = cpu
-	}
-	if arm.Wall == 0 || wall < arm.Wall {
-		arm.Wall = wall
-	}
+	arm.CPU = vm.Runtime().Stats().CPUTime
 	if gp != nil {
 		arm.Samples = gp.Samples()
 		if top := gp.TopMethods(profile.CPU, 1); len(top) > 0 {
-			res.HotMethod = top[0].Method
+			arm.hotMethod = top[0].Method
 		}
 	}
-	return nil
+	return arm, nil
 }
 
 // FormatProfOverhead renders the comparison.
@@ -192,14 +144,4 @@ func FormatProfOverhead(r *ProfOverheadResult) string {
 		r.On.Samples, r.HotMethod)
 	fmt.Fprintf(&b, "  overhead: %+.2f%% (cpu)\n", r.Overhead)
 	return b.String()
-}
-
-// WriteProfReport writes the overhead result as indented JSON
-// (BENCH_prof.json).
-func WriteProfReport(path string, r *ProfOverheadResult) error {
-	data, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -6,14 +6,11 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
-	"doppio/internal/browser"
 	"doppio/internal/fleet"
 	"doppio/internal/jvm"
 )
@@ -198,10 +195,7 @@ func runSchedProgram(cfg Config, mode, src string, batchBudget, watchdog time.Du
 	if err != nil {
 		return SchedRun{}, err
 	}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	profile.WatchdogLimit = watchdog
 	win := fleet.NewEnv(profile, cfg.Telemetry).Win
 	var stdout bytes.Buffer
@@ -254,10 +248,7 @@ func RunSchedBatch(cfg Config) (*SchedBatchResult, error) {
 		Timeslice: cfg.Timeslice,
 		Watchdog:  watchdog,
 	}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	res.Browser = profile.Name
 
 	want := fmt.Sprintf("total %d\n", items*(items+1)/2)
@@ -319,10 +310,7 @@ func RunSchedPrio(cfg Config) (*SchedPrioResult, error) {
 	}
 	iters := 60_000 * cfg.Scale
 	res := &SchedPrioResult{Timeslice: cfg.Timeslice}
-	profile := browser.Chrome28
-	if len(cfg.Browsers) > 0 {
-		profile = cfg.Browsers[0]
-	}
+	profile := cfg.Browsers[0]
 	res.Browser = profile.Name
 
 	equalSrc := fmt.Sprintf(schedPrioProgram, iters, "")
@@ -370,17 +358,9 @@ func FormatSchedPrio(r *SchedPrioResult) string {
 	return b.String()
 }
 
-// SchedReport is the JSON document -sched-batch/-sched-prio write.
+// SchedReport is the JSON document -sched-batch/-sched-prio write
+// (BENCH_sched.json).
 type SchedReport struct {
 	Batch *SchedBatchResult `json:"batch,omitempty"`
 	Prio  *SchedPrioResult  `json:"prio,omitempty"`
-}
-
-// WriteSchedReport writes the report as indented JSON.
-func WriteSchedReport(path string, rep SchedReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -9,10 +9,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -561,14 +559,4 @@ func FormatSock(r *SockResult) string {
 		r.Shed.ShedDepth, r.Shed.Shed, r.Shed.Attempted,
 		r.Shed.Recovered, r.Shed.Attempted, r.Shed.GatewayShed, r.Shed.Pauses)
 	return b.String()
-}
-
-// WriteSockReport writes the report as indented JSON
-// (BENCH_sock.json).
-func WriteSockReport(path string, r *SockResult) error {
-	data, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -114,11 +114,20 @@ func TestDoubleRoundTripIdentical(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
+	// Member name and descriptor indices must name Utf8 constants.
+	badMember := func(edit func(cf *ClassFile, m *Member)) []byte {
+		cf := buildSample()
+		edit(cf, &cf.Methods[0])
+		return cf.Write()
+	}
 	cases := [][]byte{
 		nil,
 		{0xCA, 0xFE},
 		{0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 45, 0, 1},
 		buildSample().Write()[:20],
+		badMember(func(cf *ClassFile, m *Member) { m.Name = cf.ThisClass }),
+		badMember(func(cf *ClassFile, m *Member) { m.Desc = 0x3030 }),
+		badMember(func(cf *ClassFile, m *Member) { m.Name = 0 }),
 	}
 	for i, data := range cases {
 		if _, err := Parse(data); err == nil {
@@ -187,6 +196,31 @@ func TestDisassemble(t *testing.T) {
 		"iload_0", "iload_1", "iadd", "ireturn", "Exception:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDisassembleTruncatedCode feeds Disassemble Code attributes that
+// end mid-instruction, as an unverified class file can: the listing
+// marks the cut instead of reading past the bytecode.
+func TestDisassembleTruncatedCode(t *testing.T) {
+	for _, bc := range [][]byte{
+		{OpIload0, OpBipush},
+		{OpWide},
+		{OpWide, OpIinc, 0},
+		{OpTableswitch, 0, 0, 0, 0, 0, 0, 0},
+		{OpTableswitch, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff},
+		{OpLookupswitch, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+	} {
+		cf := buildSample()
+		code := &Code{MaxStack: 2, MaxLocals: 2, Bytecode: bc}
+		cf.Methods[0].Attrs[0].Data = EncodeCode(code)
+		parsed, err := Parse(cf.Write())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := Disassemble(parsed); !strings.Contains(out, "<truncated>") {
+			t.Errorf("bytecode % x: listing does not mark the cut:\n%s", bc, out)
 		}
 	}
 }

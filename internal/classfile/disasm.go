@@ -86,15 +86,42 @@ func flagString(flags uint16) string {
 
 func disasmCode(b *strings.Builder, cf *ClassFile, code *Code) {
 	bc := code.Bytecode
-	for pc := 0; pc < len(bc); pc += InstrLen(bc, pc) {
+	for pc := 0; pc < len(bc); {
 		op := bc[pc]
 		name := OpNames[op]
 		if name == "" {
 			fmt.Fprintf(b, "    %4d: <illegal %#02x>\n", pc, op)
 			return
 		}
+		n, ok := instrLen(bc, pc)
+		if !ok {
+			fmt.Fprintf(b, "    %4d: %s <truncated>\n", pc, name)
+			return
+		}
 		fmt.Fprintf(b, "    %4d: %s%s\n", pc, name, operandString(cf, bc, pc))
+		pc += n
 	}
+}
+
+// instrLen is InstrLen for bytecode no verifier has seen: ok is false
+// when the instruction at pc does not lie wholly inside bc, as in a
+// Code attribute cut mid-instruction or a switch whose bounds run
+// past the end.
+func instrLen(bc []byte, pc int) (int, bool) {
+	header := 0 // bytes InstrLen reads past pc to size the instruction
+	switch bc[pc] {
+	case OpWide:
+		header = 2
+	case OpTableswitch:
+		header = (pc+4)&^3 + 12 - pc
+	case OpLookupswitch:
+		header = (pc+4)&^3 + 8 - pc
+	}
+	if pc+header > len(bc) {
+		return 0, false
+	}
+	n := InstrLen(bc, pc)
+	return n, n > 0 && pc+n <= len(bc)
 }
 
 func operandString(cf *ClassFile, bc []byte, pc int) string {

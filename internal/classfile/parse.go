@@ -143,6 +143,18 @@ func Parse(data []byte) (*ClassFile, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	// Member names and descriptors must be Utf8 constants: MemberName
+	// and MemberDesc (disassembly, class linking) rely on it.
+	for _, members := range [][]Member{cf.Fields, cf.Methods} {
+		for i := range members {
+			if _, err := cf.Utf8(members[i].Name); err != nil {
+				return nil, fmt.Errorf("classfile: member %d name: %w", i, err)
+			}
+			if _, err := cf.Utf8(members[i].Desc); err != nil {
+				return nil, fmt.Errorf("classfile: member %d descriptor: %w", i, err)
+			}
+		}
+	}
 	// Validate the class references up front.
 	if _, err := cf.ClassNameAt(cf.ThisClass); err != nil {
 		return nil, err
