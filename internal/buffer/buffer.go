@@ -322,7 +322,7 @@ func (f *Factory) decodeString(s, enc string) ([]byte, error) {
 	case Hex:
 		return hex.DecodeString(s)
 	case Packed:
-		return f.unpack(s)
+		return f.Unpack(s)
 	default:
 		return nil, ErrUnknownEncoding(enc)
 	}
@@ -355,17 +355,18 @@ func (f *Factory) encodeString(b []byte, enc string) (string, error) {
 	case Hex:
 		return hex.EncodeToString(b), nil
 	case Packed:
-		return f.pack(b), nil
+		return f.Pack(b), nil
 	default:
 		return "", ErrUnknownEncoding(enc)
 	}
 }
 
-// pack converts binary data into Doppio's "binary string" format. On
+// Pack converts binary data into Doppio's "binary string" format. On
 // engines without string validity checks it stores two bytes per
 // UTF-16 character (a header unit records whether the byte count is
 // odd); on validating engines it falls back to one byte per character.
-func (f *Factory) pack(b []byte) string {
+// It is ToString(Packed) for bytes not held in a Buffer.
+func (f *Factory) Pack(b []byte) string {
 	if f.ValidatesStrings {
 		// One byte per character: always-valid BMP code units.
 		units := make([]uint16, len(b)+1)
@@ -393,7 +394,9 @@ func (f *Factory) pack(b []byte) string {
 // ErrBadPackedString reports a corrupt packed binary string.
 var ErrBadPackedString = fmt.Errorf("buffer: malformed packed binary string")
 
-func (f *Factory) unpack(s string) ([]byte, error) {
+// Unpack converts a packed binary string back into bytes: FromString
+// with Packed, without the Buffer.
+func (f *Factory) Unpack(s string) ([]byte, error) {
 	units := jsstring.Decode(s)
 	if len(units) == 0 {
 		return nil, ErrBadPackedString

@@ -167,8 +167,8 @@ func TestStringCodecsRoundTrip(t *testing.T) {
 func TestPackedRoundTripProperty(t *testing.T) {
 	for name, f := range factories {
 		prop := func(data []byte) bool {
-			s := f.pack(data)
-			back, err := f.unpack(s)
+			s := f.Pack(data)
+			back, err := f.Unpack(s)
 			return err == nil && bytes.Equal(back, data)
 		}
 		if err := quick.Check(prop, nil); err != nil {
@@ -180,7 +180,7 @@ func TestPackedRoundTripProperty(t *testing.T) {
 func TestPackedLenMatchesUnpack(t *testing.T) {
 	for name, f := range factories {
 		packed := func(data []byte) bool {
-			n, err := PackedLen(f.pack(data))
+			n, err := PackedLen(f.Pack(data))
 			return err == nil && n == len(data)
 		}
 		if err := quick.Check(packed, nil); err != nil {
@@ -194,7 +194,7 @@ func TestPackedLenMatchesUnpack(t *testing.T) {
 				s = string("SDdX"[head%4]) + s
 			}
 			n, err := PackedLen(s)
-			data, uerr := f.unpack(s)
+			data, uerr := f.Unpack(s)
 			if uerr != nil {
 				return err != nil && n == 0
 			}
@@ -206,7 +206,7 @@ func TestPackedLenMatchesUnpack(t *testing.T) {
 	}
 	for _, s := range []string{"", "d", "D", "S", "X", "\xed\xa0\x80"} {
 		n, err := PackedLen(s)
-		data, uerr := factories["typed"].unpack(s)
+		data, uerr := factories["typed"].Unpack(s)
 		if (err == nil) != (uerr == nil) || n != len(data) {
 			t.Errorf("PackedLen(%q) = %d, %v; unpack gives %d bytes, %v", s, n, err, len(data), uerr)
 		}
@@ -220,8 +220,8 @@ func TestPackedDensity(t *testing.T) {
 	}
 	loose := factories["typed"] // no validity checks: 2 bytes/char
 	strict := factories["typed-validating"]
-	looseLen := lenUnits(loose.pack(data))
-	strictLen := lenUnits(strict.pack(data))
+	looseLen := lenUnits(loose.Pack(data))
+	strictLen := lenUnits(strict.Pack(data))
 	if looseLen != 501 { // 500 packed units + header
 		t.Errorf("2B/char packing used %d units, want 501", looseLen)
 	}
@@ -257,8 +257,8 @@ func TestPackedOddLength(t *testing.T) {
 		for i := range data {
 			data[i] = byte(255 - i)
 		}
-		s := f.pack(data)
-		back, err := f.unpack(s)
+		s := f.Pack(data)
+		back, err := f.Unpack(s)
 		if err != nil || !bytes.Equal(back, data) {
 			t.Errorf("n=%d: unpack = %v, %v", n, back, err)
 		}
@@ -268,7 +268,7 @@ func TestPackedOddLength(t *testing.T) {
 func TestUnpackErrors(t *testing.T) {
 	f := factories["typed"]
 	for _, bad := range []string{"", "X123", "d"} {
-		if _, err := f.unpack(bad); err == nil {
+		if _, err := f.Unpack(bad); err == nil {
 			t.Errorf("unpack(%q) succeeded", bad)
 		}
 	}

@@ -44,7 +44,19 @@ type Frame struct {
 // ErrFrameTooLarge guards against absurd frame lengths.
 var ErrFrameTooLarge = fmt.Errorf("sockets: frame exceeds maximum size")
 
+// ErrBadFrame reports a header RFC 6455 §5.2 forbids: a reserved bit
+// set with no extension negotiated, or a length not in its shortest
+// encoding.
+var ErrBadFrame = fmt.Errorf("sockets: malformed frame header")
+
 const maxFramePayload = 64 << 20
+
+// eagerPayload is the longest payload ReadFrame allocates in full on
+// the header's word alone; every frame the mux sends fits (a DATA
+// frame carries at most maxDataChunk, 16 KiB). A longer payload's
+// buffer grows only as its bytes arrive, so a header that claims
+// 64 MiB and sends none costs nothing.
+const eagerPayload = 64 << 10
 
 // WriteFrame encodes f to w. Client-to-server frames must be masked.
 func WriteFrame(w io.Writer, f *Frame) error {
@@ -128,11 +140,16 @@ func WriteBinaryFrame(w io.Writer, parts ...[]byte) error {
 	return err
 }
 
-// ReadFrame decodes one frame from r, unmasking the payload.
+// ReadFrame decodes one frame from r, unmasking the payload. A
+// decoded frame re-encodes with WriteFrame to the bytes it was read
+// from.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
+	}
+	if hdr[0]&0x70 != 0 {
+		return nil, ErrBadFrame
 	}
 	f := &Frame{
 		Fin:    hdr[0]&0x80 != 0,
@@ -147,12 +164,18 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			return nil, err
 		}
 		n = uint64(binary.BigEndian.Uint16(ext[:]))
+		if n <= 125 {
+			return nil, ErrBadFrame
+		}
 	case 127:
 		var ext [8]byte
 		if _, err := io.ReadFull(r, ext[:]); err != nil {
 			return nil, err
 		}
 		n = binary.BigEndian.Uint64(ext[:])
+		if n <= 0xFFFF {
+			return nil, ErrBadFrame
+		}
 	}
 	if n > maxFramePayload {
 		return nil, ErrFrameTooLarge
@@ -162,14 +185,39 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			return nil, err
 		}
 	}
-	f.Payload = make([]byte, n)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return nil, err
 	}
+	f.Payload = payload
 	if f.Masked {
 		for i := range f.Payload {
 			f.Payload[i] ^= f.MaskKey[i%4]
 		}
 	}
 	return f, nil
+}
+
+// readPayload reads an n-byte payload. Its buffer starts at n bytes or
+// eagerPayload, whichever is less, and doubles only when full, so the
+// memory it takes stays within twice the bytes that arrived.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, eagerPayload))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }

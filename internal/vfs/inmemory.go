@@ -160,6 +160,10 @@ func (m *InMemory) Sync(p string, data []byte, cb func(error)) {
 
 // Unlink removes a file or symlink.
 func (m *InMemory) Unlink(p string, cb func(error)) {
+	if p == "/" {
+		cb(Err(EISDIR, "unlink", p))
+		return
+	}
 	parent, base, err := m.parentOf(p, "unlink")
 	if err != nil {
 		cb(err)
@@ -177,8 +181,12 @@ func (m *InMemory) Unlink(p string, cb func(error)) {
 	}
 }
 
-// Rmdir removes an empty directory.
+// Rmdir removes an empty directory; the root stays (EPERM).
 func (m *InMemory) Rmdir(p string, cb func(error)) {
+	if p == "/" {
+		cb(Err(EPERM, "rmdir", p))
+		return
+	}
 	parent, base, err := m.parentOf(p, "rmdir")
 	if err != nil {
 		cb(err)
@@ -200,6 +208,10 @@ func (m *InMemory) Rmdir(p string, cb func(error)) {
 
 // Mkdir creates a directory; the parent must already exist.
 func (m *InMemory) Mkdir(p string, cb func(error)) {
+	if p == "/" {
+		cb(Err(EEXIST, "mkdir", p))
+		return
+	}
 	parent, base, err := m.parentOf(p, "mkdir")
 	if err != nil {
 		cb(err)
@@ -231,7 +243,9 @@ func (m *InMemory) Readdir(p string, cb func([]string, error)) {
 	}
 }
 
-// Rename moves oldPath to newPath, replacing a plain-file target.
+// Rename moves oldPath to newPath, replacing a file with a file or an
+// empty directory with a directory. A directory cannot move beneath
+// itself (EINVAL); a node renamed to its own path stays put.
 func (m *InMemory) Rename(oldPath, newPath string, cb func(error)) {
 	op, ob, err := m.parentOf(oldPath, "rename")
 	if err != nil {
@@ -248,6 +262,14 @@ func (m *InMemory) Rename(oldPath, newPath string, cb func(error)) {
 		cb(err)
 		return
 	}
+	if node.typ == TypeDir && strings.HasPrefix(newPath, oldPath+"/") {
+		cb(Err(EINVAL, "rename", newPath))
+		return
+	}
+	if oldPath == newPath {
+		cb(nil)
+		return
+	}
 	if existing, ok := np.children[nb]; ok {
 		if existing.typ == TypeDir && len(existing.children) > 0 {
 			cb(Err(ENOTEMPTY, "rename", newPath))
@@ -255,6 +277,10 @@ func (m *InMemory) Rename(oldPath, newPath string, cb func(error)) {
 		}
 		if existing.typ == TypeDir && node.typ != TypeDir {
 			cb(Err(EISDIR, "rename", newPath))
+			return
+		}
+		if existing.typ != TypeDir && node.typ == TypeDir {
+			cb(Err(ENOTDIR, "rename", newPath))
 			return
 		}
 	}

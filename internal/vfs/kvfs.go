@@ -6,7 +6,6 @@ import (
 
 	"doppio/internal/browser"
 	"doppio/internal/buffer"
-	"doppio/internal/vfs/vkernel"
 )
 
 // kvErr classifies a raw key/value store failure into an *ApiError,
@@ -42,10 +41,35 @@ type kvAPI interface {
 //	"d!<path>" → directory marker
 //
 // The root directory is implicit.
+//
+// A FlatKV keeps an in-memory index of its namespace: every path, and
+// whether it is a file or a directory, with the file's size once known.
+// The first call builds it from one keys request; calls that arrive
+// before that answer wait, in arrival order. After that the index is
+// updated in the completion callback of each put and del that
+// succeeds, so metadata calls (Stat, Readdir, and the parent and
+// target checks of the calls that write) take no store round trip.
+// A file listed at load pays one get on its first Stat, for its size.
+//
+// The index rests on one contract: a FlatKV is the only writer of its
+// store's f! and d! keys. In the paper's setting one window owns its
+// storage, and every constructor in this repository opens one FlatKV
+// per store. A FlatKV opened later over a populated store (a page
+// reload) rebuilds its index from the keys.
 type FlatKV struct {
 	kv   kvAPI
 	bufs *buffer.Factory
 	name string
+
+	nodes map[string]kvEntry             // path → node; nil until loaded
+	kids  map[string]map[string]struct{} // parent path → child names
+	queue []func()                       // calls waiting for the index
+}
+
+// kvEntry is the index's record of one path.
+type kvEntry struct {
+	dir  bool
+	size int64 // unpacked file size; -1 until known
 }
 
 const (
@@ -98,304 +122,355 @@ func (f *FlatKV) Name() string { return f.name }
 // ReadOnly reports false: the backend is writable.
 func (f *FlatKV) ReadOnly() bool { return false }
 
-// kvNode is what the store holds under one path's two keys.
-type kvNode struct {
-	val       string // packed contents, when file
-	file, dir bool
-}
-
-func (n kvNode) exists() bool { return n.file || n.dir }
-
-// kvReq is one store request; it calls done once its answer is in.
-type kvReq func(done func())
-
-// together issues every request at once and calls then after the last
-// one answers. Like requests queued on one IndexedDB transaction, they
-// share a single store round trip instead of taking one each. Store
-// callbacks run on the event loop (or inline, for localStorage), so a
-// plain counter joins them.
-func together(then func(), reqs ...kvReq) {
-	left := len(reqs)
-	if left == 0 {
-		then()
+// ready runs call once the index is loaded. The first call loads it
+// with one keys request; calls that arrive before the answer, or while
+// the waiting ones run, queue behind them and run in arrival order.
+func (f *FlatKV) ready(call func()) {
+	if f.nodes != nil && f.queue == nil {
+		call()
 		return
 	}
-	for _, r := range reqs {
-		r(func() {
-			if left--; left == 0 {
-				then()
+	f.queue = append(f.queue, call)
+	if f.nodes == nil && len(f.queue) == 1 {
+		f.kv.keys(f.buildIndex)
+	}
+}
+
+// buildIndex builds the index from the store's key list, then runs the
+// calls that waited for it. A path holding both keys indexes as a file.
+func (f *FlatKV) buildIndex(keys []string) {
+	f.nodes = map[string]kvEntry{"/": {dir: true}}
+	f.kids = make(map[string]map[string]struct{})
+	for _, key := range keys {
+		if p, ok := strings.CutPrefix(key, fileKeyPrefix); ok && p != "/" {
+			f.add(p, kvEntry{size: -1})
+		} else if p, ok := strings.CutPrefix(key, dirKeyPrefix); ok {
+			if _, seen := f.nodes[p]; !seen {
+				f.add(p, kvEntry{dir: true})
 			}
-		})
+		}
+	}
+	for len(f.queue) > 0 {
+		call := f.queue[0]
+		f.queue = f.queue[1:]
+		call()
+	}
+	f.queue = nil
+}
+
+// add records the node at p and lists it under its parent.
+func (f *FlatKV) add(p string, n kvEntry) {
+	f.nodes[p] = n
+	dir, base := splitDir(p)
+	kids := f.kids[dir]
+	if kids == nil {
+		kids = make(map[string]struct{})
+		f.kids[dir] = kids
+	}
+	kids[base] = struct{}{}
+}
+
+// remove drops the node at p from the index.
+func (f *FlatKV) remove(p string) {
+	delete(f.nodes, p)
+	dir, base := splitDir(p)
+	if kids := f.kids[dir]; kids != nil {
+		delete(kids, base)
+		if len(kids) == 0 {
+			delete(f.kids, dir)
+		}
 	}
 }
 
-// load returns the requests that read p's file and directory keys
-// into n. The root is implicit and needs none.
-func (f *FlatKV) load(p string, n *kvNode) []kvReq {
+// learnSize records size for the file at p if the index lacks it.
+func (f *FlatKV) learnSize(p string, size int64) {
+	if n, ok := f.nodes[p]; ok && !n.dir && n.size < 0 {
+		n.size = size
+		f.nodes[p] = n
+	}
+}
+
+// parentErr is the check every call that creates, removes or moves p
+// makes on its parent: EINVAL for the root itself, ENOENT when the
+// parent is missing, ENOTDIR when it is a file. A path in the index
+// always has a directory for a parent, so the calls ask only about
+// the paths it lacks.
+func (f *FlatKV) parentErr(op, p string) error {
 	if p == "/" {
-		n.dir = true
-		return nil
+		return Err(EINVAL, op, p)
 	}
-	return []kvReq{
-		func(done func()) {
-			f.kv.get(fileKeyPrefix+p, func(val string, ok bool) { n.val, n.file = val, ok; done() })
-		},
-		f.has(dirKeyPrefix+p, &n.dir),
+	dir, _ := splitDir(p)
+	parent, ok := f.nodes[dir]
+	switch {
+	case !ok:
+		return Err(ENOENT, op, p)
+	case !parent.dir:
+		return Err(ENOTDIR, op, p)
 	}
+	return nil
 }
 
-// has returns a request that records whether key is present.
-func (f *FlatKV) has(key string, found *bool) kvReq {
-	return func(done func()) {
-		f.kv.get(key, func(_ string, ok bool) { *found = ok; done() })
+// missingErr answers a call that needs p to exist, for a p the index
+// lacks: the parent's fault, or else ENOENT.
+func (f *FlatKV) missingErr(op, p string) error {
+	if err := f.parentErr(op, p); err != nil {
+		return err
 	}
+	return Err(ENOENT, op, p)
 }
 
-// allKeys returns a request that lists every key into keys.
-func (f *FlatKV) allKeys(keys *[]string) kvReq {
-	return func(done func()) {
-		f.kv.keys(func(k []string) { *keys = k; done() })
-	}
-}
-
-func (f *FlatKV) packContents(data []byte) (string, error) {
-	b := f.bufs.FromBytes(data)
-	return b.ToString(buffer.Packed, 0, b.Len())
-}
-
-func (f *FlatKV) unpackContents(val string) ([]byte, error) {
-	b, err := f.bufs.FromString(val, buffer.Packed)
-	if err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// Stat describes the node at path in one store round trip. A file's
-// size comes from its packed string's header and length, without
-// unpacking the contents; a corrupt string stats as an empty file.
+// Stat describes the node at path from the index. A file whose size
+// the index lacks costs one get; its size comes from the packed
+// string's header and length (buffer.PackedLen), without unpacking,
+// and a corrupt string counts as an empty file.
 func (f *FlatKV) Stat(p string, cb func(Stats, error)) {
-	var n kvNode
-	together(func() {
+	f.ready(func() {
+		n, ok := f.nodes[p]
 		switch {
-		case n.file:
-			size, _ := buffer.PackedLen(n.val)
-			cb(Stats{Type: TypeFile, Size: int64(size)}, nil)
+		case !ok:
+			cb(Stats{}, Err(ENOENT, "stat", p))
 		case n.dir:
 			cb(Stats{Type: TypeDir}, nil)
+		case n.size >= 0:
+			cb(Stats{Type: TypeFile, Size: n.size}, nil)
 		default:
-			cb(Stats{}, Err(ENOENT, "stat", p))
+			f.kv.get(fileKeyPrefix+p, func(val string, found bool) {
+				if !found {
+					cb(Stats{}, Err(ENOENT, "stat", p))
+					return
+				}
+				size, _ := buffer.PackedLen(val)
+				f.learnSize(p, int64(size))
+				cb(Stats{Type: TypeFile, Size: int64(size)}, nil)
+			})
 		}
-	}, f.load(p, &n)...)
+	})
 }
 
 // Open loads the file's contents, unpacking the stored string, in one
-// store round trip.
+// get; a path the index knows to be missing or a directory takes none.
 func (f *FlatKV) Open(p string, cb func([]byte, error)) {
-	var n kvNode
-	together(func() {
+	f.ready(func() {
+		n, ok := f.nodes[p]
 		switch {
-		case n.file:
-			data, err := f.unpackContents(n.val)
-			if err != nil {
-				cb(nil, ErrWithCause(EIO, "open", p, err))
-				return
-			}
-			cb(data, nil)
+		case !ok:
+			cb(nil, Err(ENOENT, "open", p))
 		case n.dir:
 			cb(nil, Err(EISDIR, "open", p))
 		default:
-			cb(nil, Err(ENOENT, "open", p))
+			f.kv.get(fileKeyPrefix+p, func(val string, found bool) {
+				if !found {
+					cb(nil, Err(ENOENT, "open", p))
+					return
+				}
+				data, err := f.bufs.Unpack(val)
+				if err != nil {
+					cb(nil, ErrWithCause(EIO, "open", p, err))
+					return
+				}
+				f.learnSize(p, int64(len(data)))
+				cb(data, nil)
+			})
 		}
-	}, f.load(p, &n)...)
+	})
 }
 
-// Sync writes back the file's contents as a packed string in two store
-// round trips: the parent's node and p's directory key together, then
-// the put. Quota exhaustion maps to ENOSPC.
+// Sync writes back the file's contents as a packed string in one put.
+// Quota exhaustion maps to ENOSPC and leaves the index unchanged.
 func (f *FlatKV) Sync(p string, data []byte, cb func(error)) {
-	if p == "/" {
-		cb(Err(EISDIR, "sync", p))
-		return
-	}
-	dir, _ := splitDir(p)
-	var parent kvNode
-	var isDir bool
-	together(func() {
+	f.ready(func() {
+		n, ok := f.nodes[p]
+		var err error
 		switch {
-		case !parent.exists():
-			cb(Err(ENOENT, "sync", p))
-			return
-		case parent.file:
-			cb(Err(ENOTDIR, "sync", p))
-			return
-		case isDir:
-			cb(Err(EISDIR, "sync", p))
-			return
+		case n.dir:
+			err = Err(EISDIR, "sync", p)
+		case !ok:
+			err = f.parentErr("sync", p)
 		}
-		packed, err := f.packContents(data)
 		if err != nil {
-			cb(ErrWithCause(EIO, "sync", p, err))
+			cb(err)
 			return
 		}
-		f.kv.put(fileKeyPrefix+p, packed, func(err error) {
-			cb(kvErr(err, "sync", p))
+		f.kv.put(fileKeyPrefix+p, f.bufs.Pack(data), func(err error) {
+			if err != nil {
+				cb(kvErr(err, "sync", p))
+				return
+			}
+			f.add(p, kvEntry{size: int64(len(data))})
+			cb(nil)
 		})
-	}, append(f.load(dir, &parent), f.has(dirKeyPrefix+p, &isDir))...)
+	})
 }
 
-// Unlink removes a file.
+// Unlink removes a file in one del.
 func (f *FlatKV) Unlink(p string, cb func(error)) {
-	var n kvNode
-	together(func() {
+	f.ready(func() {
+		n, ok := f.nodes[p]
 		switch {
-		case n.file:
-			f.kv.del(fileKeyPrefix+p, func() { cb(nil) })
+		case !ok:
+			cb(f.missingErr("unlink", p))
 		case n.dir:
 			cb(Err(EISDIR, "unlink", p))
 		default:
-			cb(Err(ENOENT, "unlink", p))
+			f.kv.del(fileKeyPrefix+p, func() {
+				f.remove(p)
+				cb(nil)
+			})
 		}
-	}, f.load(p, &n)...)
+	})
 }
 
-// childNames extracts the immediate child names of dir from the full
-// key list.
-func childNames(keys []string, dir string) []string {
-	seen := make(map[string]bool)
-	for _, key := range keys {
-		var p string
-		switch {
-		case strings.HasPrefix(key, fileKeyPrefix):
-			p = key[len(fileKeyPrefix):]
-		case strings.HasPrefix(key, dirKeyPrefix):
-			p = key[len(dirKeyPrefix):]
-		default:
-			continue
-		}
-		if name, ok := vkernel.ChildOf(dir, p); ok {
-			seen[name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Rmdir removes an empty directory.
+// Rmdir removes an empty directory in one del.
 func (f *FlatKV) Rmdir(p string, cb func(error)) {
-	var n kvNode
-	var keys []string
-	together(func() {
+	f.ready(func() {
+		n, ok := f.nodes[p]
 		switch {
-		case !n.exists():
-			cb(Err(ENOENT, "rmdir", p))
-		case n.file:
-			cb(Err(ENOTDIR, "rmdir", p))
+		case !ok:
+			cb(f.missingErr("rmdir", p))
 		case p == "/":
 			cb(Err(EPERM, "rmdir", p))
-		case len(childNames(keys, p)) > 0:
+		case !n.dir:
+			cb(Err(ENOTDIR, "rmdir", p))
+		case len(f.kids[p]) > 0:
 			cb(Err(ENOTEMPTY, "rmdir", p))
 		default:
-			f.kv.del(dirKeyPrefix+p, func() { cb(nil) })
+			f.kv.del(dirKeyPrefix+p, func() {
+				f.remove(p)
+				cb(nil)
+			})
 		}
-	}, append(f.load(p, &n), f.allKeys(&keys))...)
+	})
 }
 
-// Mkdir creates a directory marker; the parent must exist.
+// Mkdir creates a directory marker in one put; the parent must exist.
 func (f *FlatKV) Mkdir(p string, cb func(error)) {
-	dir, _ := splitDir(p)
-	var n, parent kvNode
-	together(func() {
-		switch {
-		case n.exists():
+	f.ready(func() {
+		if _, ok := f.nodes[p]; ok {
 			cb(Err(EEXIST, "mkdir", p))
-		case !parent.exists():
-			cb(Err(ENOENT, "mkdir", p))
-		case parent.file:
-			cb(Err(ENOTDIR, "mkdir", p))
-		default:
-			f.kv.put(dirKeyPrefix+p, "", cb)
+			return
 		}
-	}, append(f.load(p, &n), f.load(dir, &parent)...)...)
+		if err := f.parentErr("mkdir", p); err != nil {
+			cb(err)
+			return
+		}
+		f.kv.put(dirKeyPrefix+p, "", func(err error) {
+			if err != nil {
+				cb(kvErr(err, "mkdir", p))
+				return
+			}
+			f.add(p, kvEntry{dir: true})
+			cb(nil)
+		})
+	})
 }
 
-// Readdir lists the immediate children of a directory in one store
-// round trip: the node and the key list together.
+// Readdir lists the immediate children of a directory, sorted, from
+// the index.
 func (f *FlatKV) Readdir(p string, cb func([]string, error)) {
-	var n kvNode
-	var keys []string
-	together(func() {
+	f.ready(func() {
+		n, ok := f.nodes[p]
 		switch {
-		case !n.exists():
+		case !ok:
 			cb(nil, Err(ENOENT, "readdir", p))
-		case n.file:
+		case !n.dir:
 			cb(nil, Err(ENOTDIR, "readdir", p))
 		default:
-			cb(childNames(keys, p), nil)
+			names := make([]string, 0, len(f.kids[p]))
+			for name := range f.kids[p] {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			cb(names, nil)
 		}
-	}, append(f.load(p, &n), f.allKeys(&keys))...)
+	})
 }
 
-// Rename moves a file (directory renames move the marker and all
-// descendants).
+// Rename moves a file, or a directory marker and every key beneath it,
+// replacing a file with a file or an empty directory with a directory.
+// The keys move one at a time, parents first, and the index follows
+// each one.
 func (f *FlatKV) Rename(oldPath, newPath string, cb func(error)) {
-	if oldPath == newPath {
+	f.ready(func() {
+		n, ok := f.nodes[oldPath]
+		switch {
+		case !ok:
+			cb(f.missingErr("rename", oldPath))
+			return
+		case oldPath == "/":
+			cb(Err(EINVAL, "rename", oldPath))
+			return
+		}
+		if err := f.parentErr("rename", newPath); err != nil {
+			cb(err)
+			return
+		}
+		target, exists := f.nodes[newPath]
+		switch {
+		case n.dir && strings.HasPrefix(newPath, oldPath+"/"):
+			cb(Err(EINVAL, "rename", newPath))
+			return
+		case oldPath == newPath:
+			cb(nil)
+			return
+		case exists && target.dir && len(f.kids[newPath]) > 0:
+			cb(Err(ENOTEMPTY, "rename", newPath))
+			return
+		case exists && target.dir && !n.dir:
+			cb(Err(EISDIR, "rename", newPath))
+			return
+		case exists && !target.dir && n.dir:
+			cb(Err(ENOTDIR, "rename", newPath))
+			return
+		}
+		moves := []string{oldPath}
+		if n.dir {
+			var under []string
+			for p := range f.nodes {
+				if strings.HasPrefix(p, oldPath+"/") {
+					under = append(under, p)
+				}
+			}
+			sort.Strings(under)
+			moves = append(moves, under...)
+		}
+		f.move(moves, oldPath, newPath, cb)
+	})
+}
+
+// move renames each path in paths from under oldPath to under newPath:
+// a directory marker with a put and a del, a file with a get, a put
+// and a del.
+func (f *FlatKV) move(paths []string, oldPath, newPath string, cb func(error)) {
+	if len(paths) == 0 {
 		cb(nil)
 		return
 	}
-	f.kv.get(fileKeyPrefix+oldPath, func(val string, ok bool) {
-		if ok {
-			f.kv.put(fileKeyPrefix+newPath, val, func(err error) {
-				if err != nil {
-					cb(kvErr(err, "rename", newPath))
-					return
-				}
-				f.kv.del(fileKeyPrefix+oldPath, func() { cb(nil) })
-			})
-			return
-		}
-		f.kv.get(dirKeyPrefix+oldPath, func(_ string, isDir bool) {
-			if !isDir {
-				cb(Err(ENOENT, "rename", oldPath))
+	from := paths[0]
+	to := newPath + from[len(oldPath):]
+	next := func() { f.move(paths[1:], oldPath, newPath, cb) }
+	put := func(prefix, val string, n kvEntry) {
+		f.kv.put(prefix+to, val, func(err error) {
+			if err != nil {
+				cb(kvErr(err, "rename", newPath))
 				return
 			}
-			// Move the directory marker and every descendant key.
-			f.kv.keys(func(keys []string) {
-				moves := [][2]string{{dirKeyPrefix + oldPath, dirKeyPrefix + newPath}}
-				for _, key := range keys {
-					for _, prefix := range []string{fileKeyPrefix, dirKeyPrefix} {
-						if strings.HasPrefix(key, prefix+oldPath+"/") {
-							moves = append(moves, [2]string{key, prefix + newPath + key[len(prefix+oldPath):]})
-						}
-					}
-				}
-				var step func(i int)
-				step = func(i int) {
-					if i == len(moves) {
-						cb(nil)
-						return
-					}
-					from, to := moves[i][0], moves[i][1]
-					f.kv.get(from, func(val string, ok bool) {
-						if !ok {
-							step(i + 1)
-							return
-						}
-						f.kv.put(to, val, func(err error) {
-							if err != nil {
-								cb(kvErr(err, "rename", newPath))
-								return
-							}
-							f.kv.del(from, func() { step(i + 1) })
-						})
-					})
-				}
-				step(0)
+			f.add(to, n)
+			f.kv.del(prefix+from, func() {
+				f.remove(from)
+				next()
 			})
 		})
+	}
+	if f.nodes[from].dir {
+		put(dirKeyPrefix, "", kvEntry{dir: true})
+		return
+	}
+	f.kv.get(fileKeyPrefix+from, func(val string, ok bool) {
+		if !ok {
+			next()
+			return
+		}
+		size, _ := buffer.PackedLen(val)
+		put(fileKeyPrefix, val, kvEntry{size: int64(size)})
 	})
 }
