@@ -55,72 +55,110 @@ func (k *roundKV) rounds() int {
 	return n
 }
 
+// kvOp is one backend call of the index tests and the differential
+// test; a is its path, b the rename target or the data to sync.
+type kvOp struct{ kind, a, b string }
+
+func (o kvOp) String() string { return o.kind + " " + o.a + " " + o.b }
+
+// errnoOf renders an error as its errno, "ok" for nil.
+func errnoOf(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	if ae, ok := err.(*ApiError); ok {
+		return string(ae.Errno)
+	}
+	return "ERR " + err.Error()
+}
+
+// apply issues op on b and returns its answer as text once drain has
+// run: what a stat, open or readdir found, or the errno. A call that
+// answers twice shows both answers, and one that never answers shows
+// "no answer".
+func apply(b Backend, drain func(), op kvOp) string {
+	var outs []string
+	answer := func(s string) { outs = append(outs, s) }
+	switch op.kind {
+	case "mkdir":
+		b.Mkdir(op.a, func(err error) { answer(errnoOf(err)) })
+	case "sync":
+		b.Sync(op.a, []byte(op.b), func(err error) { answer(errnoOf(err)) })
+	case "unlink":
+		b.Unlink(op.a, func(err error) { answer(errnoOf(err)) })
+	case "rmdir":
+		b.Rmdir(op.a, func(err error) { answer(errnoOf(err)) })
+	case "rename":
+		b.Rename(op.a, op.b, func(err error) { answer(errnoOf(err)) })
+	case "stat":
+		b.Stat(op.a, func(st Stats, err error) {
+			if err != nil {
+				answer(errnoOf(err))
+				return
+			}
+			answer(fmt.Sprintf("type %d size %d", st.Type, st.Size))
+		})
+	case "open":
+		b.Open(op.a, func(data []byte, err error) { answer(errnoOf(err) + " " + string(data)) })
+	case "readdir":
+		b.Readdir(op.a, func(names []string, err error) { answer(fmt.Sprintf("%s %q", errnoOf(err), names)) })
+	}
+	drain()
+	if len(outs) == 0 {
+		return "no answer"
+	}
+	return strings.Join(outs, " | ")
+}
+
+func newRoundFlatKV(kv *roundKV) *FlatKV {
+	return &FlatKV{kv: kv, bufs: &buffer.Factory{}, name: "rounds"}
+}
+
+// kvStep is one row of a round-trip table: a call on a FlatKV over a
+// roundKV, its answer, and the store round trips it takes.
+type kvStep struct {
+	op     kvOp
+	rounds int
+	want   string
+}
+
+func runSteps(t *testing.T, f *FlatKV, kv *roundKV, steps []kvStep) {
+	t.Helper()
+	for _, s := range steps {
+		var n int
+		if got := apply(f, func() { n = kv.rounds() }, s.op); got != s.want || n != s.rounds {
+			t.Errorf("%v: %q in %d rounds, want %q in %d", s.op, got, n, s.want, s.rounds)
+		}
+	}
+}
+
 // TestFlatKVRoundTrips counts the store round trips each backend call
 // takes once the index answers every metadata question.
 func TestFlatKVRoundTrips(t *testing.T) {
 	kv := &roundKV{data: map[string]string{}}
-	f := &FlatKV{kv: kv, bufs: &buffer.Factory{}, name: "rounds"}
-
-	type step struct {
-		what   string
-		rounds int
-		call   func(done func(string))
-		want   string
-	}
-	errStr := func(err error) string {
-		if err == nil {
-			return "ok"
-		}
-		return string(err.(*ApiError).Errno)
-	}
-	sync := func(p, data string) func(func(string)) {
-		return func(done func(string)) { f.Sync(p, []byte(data), func(err error) { done(errStr(err)) }) }
-	}
-	stat := func(p string) func(func(string)) {
-		return func(done func(string)) {
-			f.Stat(p, func(st Stats, err error) { done(fmt.Sprintf("%s %d %d", errStr(err), st.Type, st.Size)) })
-		}
-	}
-	steps := []step{
+	file := func(size int) string { return fmt.Sprintf("type %d size %d", TypeFile, size) }
+	runSteps(t, newRoundFlatKV(kv), kv, []kvStep{
 		// The first call also pays for the index load: one keys request.
-		{"mkdir new", 2, func(done func(string)) { f.Mkdir("/d", func(err error) { done(errStr(err)) }) }, "ok"},
-		{"mkdir existing", 0, func(done func(string)) { f.Mkdir("/d", func(err error) { done(errStr(err)) }) }, "EEXIST"},
-		{"sync new file", 1, sync("/d/a", "hello"), "ok"},
-		{"sync existing file", 1, sync("/d/a", "hello, world"), "ok"},
-		{"sync under root", 1, sync("/top", "odd"), "ok"},
-		{"sync missing parent", 0, sync("/nodir/a", "x"), "ENOENT"},
-		{"sync dir", 0, sync("/d", "x"), "EISDIR"},
-		{"sync root", 0, sync("/", "x"), "EISDIR"},
-		{"stat file", 0, stat("/d/a"), fmt.Sprintf("ok %d 12", TypeFile)},
-		{"stat odd-length file", 0, stat("/top"), fmt.Sprintf("ok %d 3", TypeFile)},
-		{"stat dir", 0, stat("/d"), fmt.Sprintf("ok %d 0", TypeDir)},
-		{"stat missing", 0, stat("/d/zz"), fmt.Sprintf("ENOENT %d 0", TypeFile)},
-		{"open file", 1, func(done func(string)) {
-			f.Open("/d/a", func(data []byte, err error) { done(errStr(err) + " " + string(data)) })
-		}, "ok hello, world"},
-		{"open dir", 0, func(done func(string)) {
-			f.Open("/d", func(_ []byte, err error) { done(errStr(err)) })
-		}, "EISDIR"},
-		{"open missing", 0, func(done func(string)) {
-			f.Open("/d/zz", func(_ []byte, err error) { done(errStr(err)) })
-		}, "ENOENT"},
-		{"readdir", 0, func(done func(string)) {
-			f.Readdir("/", func(names []string, err error) { done(fmt.Sprintf("%s %v", errStr(err), names)) })
-		}, "ok [d top]"},
-		{"unlink file", 1, func(done func(string)) { f.Unlink("/top", func(err error) { done(errStr(err)) }) }, "ok"},
-		{"unlink missing", 0, func(done func(string)) { f.Unlink("/top", func(err error) { done(errStr(err)) }) }, "ENOENT"},
-		{"rmdir non-empty", 0, func(done func(string)) { f.Rmdir("/d", func(err error) { done(errStr(err)) }) }, "ENOTEMPTY"},
-	}
-	for _, s := range steps {
-		var got []string
-		s.call(func(r string) { got = append(got, r) })
-		if n := kv.rounds(); n != s.rounds {
-			t.Errorf("%s: %d store round trips, want %d", s.what, n, s.rounds)
-		}
-		if len(got) != 1 || got[0] != s.want {
-			t.Errorf("%s: answered %q, want one %q", s.what, got, s.want)
-		}
-	}
+		{kvOp{"mkdir", "/d", ""}, 2, "ok"},
+		{kvOp{"mkdir", "/d", ""}, 0, "EEXIST"},
+		{kvOp{"sync", "/d/a", "hello"}, 1, "ok"},
+		{kvOp{"sync", "/d/a", "hello, world"}, 1, "ok"},
+		{kvOp{"sync", "/top", "odd"}, 1, "ok"},
+		{kvOp{"sync", "/nodir/a", "x"}, 0, "ENOENT"},
+		{kvOp{"sync", "/d", "x"}, 0, "EISDIR"},
+		{kvOp{"sync", "/", "x"}, 0, "EISDIR"},
+		{kvOp{"stat", "/d/a", ""}, 0, file(12)},
+		{kvOp{"stat", "/top", ""}, 0, file(3)},
+		{kvOp{"stat", "/d", ""}, 0, fmt.Sprintf("type %d size 0", TypeDir)},
+		{kvOp{"stat", "/d/zz", ""}, 0, "ENOENT"},
+		{kvOp{"open", "/d/a", ""}, 1, "ok hello, world"},
+		{kvOp{"open", "/d", ""}, 0, "EISDIR "},
+		{kvOp{"open", "/d/zz", ""}, 0, "ENOENT "},
+		{kvOp{"readdir", "/", ""}, 0, `ok ["d" "top"]`},
+		{kvOp{"unlink", "/top", ""}, 1, "ok"},
+		{kvOp{"unlink", "/top", ""}, 0, "ENOENT"},
+		{kvOp{"rmdir", "/d", ""}, 0, "ENOTEMPTY"},
+	})
 }
 
 // TestFlatKVCorruptFileStatsEmpty keeps the old answer for a stored
@@ -141,58 +179,6 @@ func TestFlatKVCorruptFileStatsEmpty(t *testing.T) {
 	}
 }
 
-// kvOp is one backend call of the index tests and the differential
-// test; a is its path, b the rename target or the data to sync.
-type kvOp struct{ kind, a, b string }
-
-func (o kvOp) String() string { return o.kind + " " + o.a + " " + o.b }
-
-// errnoOf renders an error as its errno, "ok" for nil.
-func errnoOf(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	if ae, ok := err.(*ApiError); ok {
-		return string(ae.Errno)
-	}
-	return "ERR " + err.Error()
-}
-
-// apply issues op on b and returns its answer as text once drain has
-// run: what a stat, open or readdir found, or the errno.
-func apply(b Backend, drain func(), op kvOp) string {
-	out := "no answer"
-	switch op.kind {
-	case "mkdir":
-		b.Mkdir(op.a, func(err error) { out = errnoOf(err) })
-	case "sync":
-		b.Sync(op.a, []byte(op.b), func(err error) { out = errnoOf(err) })
-	case "unlink":
-		b.Unlink(op.a, func(err error) { out = errnoOf(err) })
-	case "rmdir":
-		b.Rmdir(op.a, func(err error) { out = errnoOf(err) })
-	case "rename":
-		b.Rename(op.a, op.b, func(err error) { out = errnoOf(err) })
-	case "stat":
-		b.Stat(op.a, func(st Stats, err error) {
-			out = errnoOf(err)
-			if err == nil {
-				out = fmt.Sprintf("type %d size %d", st.Type, st.Size)
-			}
-		})
-	case "open":
-		b.Open(op.a, func(data []byte, err error) { out = errnoOf(err) + " " + string(data) })
-	case "readdir":
-		b.Readdir(op.a, func(names []string, err error) { out = fmt.Sprintf("%s %q", errnoOf(err), names) })
-	}
-	drain()
-	return out
-}
-
-func newRoundFlatKV(kv *roundKV) *FlatKV {
-	return &FlatKV{kv: kv, bufs: &buffer.Factory{}, name: "rounds"}
-}
-
 // TestFlatKVReloadSeesTree opens a second FlatKV over a store the first
 // one populated, as a page reload does: it sees the same tree, and a
 // file it did not write costs one get on its first stat, none after.
@@ -207,12 +193,7 @@ func TestFlatKVReloadSeesTree(t *testing.T) {
 	// A path holding both keys, as a store written before renames
 	// checked their target could, indexes as a file.
 	kv.data[dirKeyPrefix+"/top"] = ""
-	f := newRoundFlatKV(kv)
-	steps := []struct {
-		op     kvOp
-		rounds int
-		want   string
-	}{
+	runSteps(t, newRoundFlatKV(kv), kv, []kvStep{
 		{kvOp{"stat", "/d/a", ""}, 2, fmt.Sprintf("type %d size 5", TypeFile)}, // keys, then get
 		{kvOp{"stat", "/d/a", ""}, 0, fmt.Sprintf("type %d size 5", TypeFile)},
 		{kvOp{"open", "/top", ""}, 1, "ok odd"},
@@ -221,13 +202,7 @@ func TestFlatKVReloadSeesTree(t *testing.T) {
 		{kvOp{"readdir", "/", ""}, 0, `ok ["d" "top"]`},
 		{kvOp{"readdir", "/d", ""}, 0, `ok ["a" "e"]`},
 		{kvOp{"rmdir", "/d", ""}, 0, "ENOTEMPTY"},
-	}
-	for _, s := range steps {
-		var n int
-		if got := apply(f, func() { n = kv.rounds() }, s.op); got != s.want || n != s.rounds {
-			t.Errorf("%v: %q in %d rounds, want %q in %d", s.op, got, n, s.want, s.rounds)
-		}
-	}
+	})
 }
 
 // TestFlatKVCallsWaitForIndexInOrder issues calls before the keys
