@@ -380,9 +380,9 @@ func Table2() []StorageRow {
 	win := browser.NewWindow(browser.Chrome28)
 	ok := false
 	err := fleet.Drive(win.Loop, "probe", func(done func(error)) {
-		win.IndexedDB.Put("k", []byte("v"), func(error) {
-			win.IndexedDB.Get("k", func(v []byte, found bool) {
-				ok = found && string(v) == "v"
+		win.IndexedDB.Put("k", "v", func(error) {
+			win.IndexedDB.Get("k", func(v string, found bool) {
+				ok = found && v == "v"
 				done(nil)
 			})
 		})

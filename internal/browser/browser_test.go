@@ -129,13 +129,13 @@ func TestAsyncStoreIsAsynchronous(t *testing.T) {
 	}
 	var order []string
 	w.Loop.Post("main", func() {
-		w.IndexedDB.Put("k", []byte("v"), func(err error) {
+		w.IndexedDB.Put("k", "v", func(err error) {
 			if err != nil {
 				t.Errorf("Put: %v", err)
 			}
 			order = append(order, "put-done")
-			w.IndexedDB.Get("k", func(v []byte, found bool) {
-				if !found || string(v) != "v" {
+			w.IndexedDB.Get("k", func(v string, found bool) {
+				if !found || v != "v" {
 					t.Errorf("Get = %q, %v", v, found)
 				}
 				order = append(order, "get-done")
@@ -154,8 +154,8 @@ func TestAsyncStoreIsAsynchronous(t *testing.T) {
 func TestAsyncStoreDeleteAndKeys(t *testing.T) {
 	w := NewWindow(IE10)
 	w.Loop.Post("main", func() {
-		w.IndexedDB.Put("a", []byte("1"), func(error) {})
-		w.IndexedDB.Put("b", []byte("2"), func(error) {
+		w.IndexedDB.Put("a", "1", func(error) {})
+		w.IndexedDB.Put("b", "2", func(error) {
 			w.IndexedDB.Delete("a", func(error) {
 				w.IndexedDB.Keys(func(keys []string) {
 					if len(keys) != 1 || keys[0] != "b" {

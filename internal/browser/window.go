@@ -215,23 +215,27 @@ func (s *LocalStorage) Used() int {
 	return s.used
 }
 
-// AsyncStore is the IndexedDB-like asynchronous object store: binary
+// AsyncStore is the IndexedDB-like asynchronous object store: string
 // values keyed by string, with every operation completing on a later
 // event-loop turn after the profile's storage latency. There is no
 // synchronous interface — which is exactly why Doppio needs
 // suspend-and-resume to expose it to blocking programs (§5.1).
+//
+// Values are strings, as Doppio stores file data in them (§5.1). A
+// JavaScript string is immutable, so IndexedDB's structured clone of
+// one shares it rather than copying it, and so do Put and Get here.
 type AsyncStore struct {
 	loop    *eventloop.Loop
 	latency time.Duration
 
 	mu   sync.Mutex
-	data map[string][]byte
+	data map[string]string
 }
 
 // NewAsyncStore creates an empty async store delivering completions on
 // loop after latency.
 func NewAsyncStore(loop *eventloop.Loop, latency time.Duration) *AsyncStore {
-	return &AsyncStore{loop: loop, latency: latency, data: make(map[string][]byte)}
+	return &AsyncStore{loop: loop, latency: latency, data: make(map[string]string)}
 }
 
 func (s *AsyncStore) complete(label string, fn func()) {
@@ -247,25 +251,20 @@ func (s *AsyncStore) complete(label string, fn func()) {
 }
 
 // Get fetches key and delivers (value, found) asynchronously.
-func (s *AsyncStore) Get(key string, cb func(value []byte, found bool)) {
+func (s *AsyncStore) Get(key string, cb func(value string, found bool)) {
 	s.complete("idb-get", func() {
 		s.mu.Lock()
 		v, ok := s.data[key]
 		s.mu.Unlock()
-		var cp []byte
-		if ok {
-			cp = append([]byte(nil), v...)
-		}
-		cb(cp, ok)
+		cb(v, ok)
 	})
 }
 
 // Put stores value under key and delivers completion asynchronously.
-func (s *AsyncStore) Put(key string, value []byte, cb func(err error)) {
-	cp := append([]byte(nil), value...)
+func (s *AsyncStore) Put(key, value string, cb func(err error)) {
 	s.complete("idb-put", func() {
 		s.mu.Lock()
-		s.data[key] = cp
+		s.data[key] = value
 		s.mu.Unlock()
 		cb(nil)
 	})

@@ -54,6 +54,20 @@ func (f *Factory) FromBytes(b []byte) *Buffer {
 	return buf
 }
 
+// Adopt returns a Buffer over b, which the caller hands over and must
+// not touch again. On typed-array profiles b itself becomes the store,
+// counted by OnTypedAlloc like any typed allocation; without typed
+// arrays its bytes are copied into a number store.
+func (f *Factory) Adopt(b []byte) *Buffer {
+	if !f.Typed {
+		return f.FromBytes(b)
+	}
+	if f.OnTypedAlloc != nil {
+		f.OnTypedAlloc(len(b))
+	}
+	return &Buffer{store: TypedStore(b), fac: f}
+}
+
 // FromString allocates a Buffer holding the bytes of s in the given
 // encoding.
 func (f *Factory) FromString(s, enc string) (*Buffer, error) {
@@ -294,28 +308,18 @@ func (e ErrUnknownEncoding) Error() string {
 func (f *Factory) decodeString(s, enc string) ([]byte, error) {
 	switch enc {
 	case ASCII:
-		units := jsstring.Decode(s)
-		out := make([]byte, len(units))
-		for i, u := range units {
-			out[i] = byte(u & 0x7F)
+		out, _ := decodeUnits(s, 1, false)
+		for i, c := range out {
+			out[i] = c & 0x7F
 		}
 		return out, nil
 	case Latin1:
-		units := jsstring.Decode(s)
-		out := make([]byte, len(units))
-		for i, u := range units {
-			out[i] = byte(u)
-		}
+		out, _ := decodeUnits(s, 1, false)
 		return out, nil
 	case UTF8:
 		return []byte(s), nil
 	case UTF16LE, UCS2:
-		units := jsstring.Decode(s)
-		out := make([]byte, len(units)*2)
-		for i, u := range units {
-			out[2*i] = byte(u)
-			out[2*i+1] = byte(u >> 8)
-		}
+		out, _ := decodeUnits(s, 2, false)
 		return out, nil
 	case Base64:
 		return base64.StdEncoding.DecodeString(s)
@@ -331,25 +335,17 @@ func (f *Factory) decodeString(s, enc string) ([]byte, error) {
 func (f *Factory) encodeString(b []byte, enc string) (string, error) {
 	switch enc {
 	case ASCII:
-		units := make([]uint16, len(b))
+		masked := make([]byte, len(b))
 		for i, c := range b {
-			units[i] = uint16(c & 0x7F)
+			masked[i] = c & 0x7F
 		}
-		return jsstring.Encode(units), nil
+		return ownedString(masked), nil
 	case Latin1:
-		units := make([]uint16, len(b))
-		for i, c := range b {
-			units[i] = uint16(c)
-		}
-		return jsstring.Encode(units), nil
+		return wtf8String(0, b, 1), nil
 	case UTF8:
 		return string(b), nil
 	case UTF16LE, UCS2:
-		units := make([]uint16, len(b)/2)
-		for i := range units {
-			units[i] = uint16(b[2*i]) | uint16(b[2*i+1])<<8
-		}
-		return jsstring.Encode(units), nil
+		return wtf8String(0, b[:len(b)&^1], 2), nil
 	case Base64:
 		return base64.StdEncoding.EncodeToString(b), nil
 	case Hex:
@@ -365,95 +361,69 @@ func (f *Factory) encodeString(b []byte, enc string) (string, error) {
 // engines without string validity checks it stores two bytes per
 // UTF-16 character (a header unit records whether the byte count is
 // odd); on validating engines it falls back to one byte per character.
-// It is ToString(Packed) for bytes not held in a Buffer.
+// It is ToString(Packed) for bytes not held in a Buffer, and it writes
+// the string in one allocation.
 func (f *Factory) Pack(b []byte) string {
 	if f.ValidatesStrings {
-		// One byte per character: always-valid BMP code units.
-		units := make([]uint16, len(b)+1)
-		units[0] = 'S' // single-byte marker
-		for i, c := range b {
-			units[i+1] = uint16(c)
-		}
-		return jsstring.Encode(units)
+		return wtf8String('S', b, 1) // one byte per character: always-valid BMP units
 	}
-	units := make([]uint16, 0, len(b)/2+2)
 	if len(b)%2 == 0 {
-		units = append(units, 'D') // double-byte, even length
-	} else {
-		units = append(units, 'd') // double-byte, odd length
+		return wtf8String('D', b, 2) // double-byte, even length
 	}
-	for i := 0; i+1 < len(b); i += 2 {
-		units = append(units, uint16(b[i])|uint16(b[i+1])<<8)
-	}
-	if len(b)%2 == 1 {
-		units = append(units, uint16(b[len(b)-1]))
-	}
-	return jsstring.Encode(units)
+	return wtf8String('d', b, 2) // double-byte, odd length
 }
 
 // ErrBadPackedString reports a corrupt packed binary string.
 var ErrBadPackedString = fmt.Errorf("buffer: malformed packed binary string")
 
 // Unpack converts a packed binary string back into bytes: FromString
-// with Packed, without the Buffer.
+// with Packed, without the Buffer. It decodes straight into the slice
+// it returns.
 func (f *Factory) Unpack(s string) ([]byte, error) {
-	units := jsstring.Decode(s)
-	if len(units) == 0 {
+	width, odd, body, err := packedHeader(s)
+	if err != nil {
+		return nil, err
+	}
+	out, ok := decodeUnits(body, width, odd)
+	if !ok {
 		return nil, ErrBadPackedString
 	}
-	switch units[0] {
-	case 'S':
-		out := make([]byte, len(units)-1)
-		for i, u := range units[1:] {
-			out[i] = byte(u)
-		}
-		return out, nil
-	case 'D', 'd':
-		odd := units[0] == 'd'
-		body := units[1:]
-		n := len(body) * 2
-		if odd {
-			if len(body) == 0 {
-				return nil, ErrBadPackedString
-			}
-			n--
-		}
-		out := make([]byte, 0, n)
-		last := len(body) - 1
-		for i, u := range body {
-			if odd && i == last {
-				out = append(out, byte(u))
-			} else {
-				out = append(out, byte(u), byte(u>>8))
-			}
-		}
-		return out, nil
-	default:
-		return nil, ErrBadPackedString
-	}
+	return out, nil
 }
 
 // PackedLen reports the byte length a packed binary string unpacks to,
 // read from its header unit and its length in UTF-16 units without
 // decoding the contents. It fails exactly when unpacking would.
 func PackedLen(s string) (int, error) {
-	units := jsstring.Units(s)
-	if units == 0 {
+	width, odd, body, err := packedHeader(s)
+	if err != nil {
+		return 0, err
+	}
+	n := width * jsstring.Units(body)
+	if odd {
+		n--
+	}
+	if n < 0 {
 		return 0, ErrBadPackedString
 	}
-	switch s[0] {
+	return n, nil
+}
+
+// packedHeader reads the header unit of a packed string: the bytes per
+// body unit, whether the last unit holds one byte, and the body after
+// the header.
+func packedHeader(s string) (width int, odd bool, body string, err error) {
+	if s == "" {
+		return 0, false, "", ErrBadPackedString
+	}
+	head, _, next := decodeUnit(s, 0)
+	switch head {
 	case 'S':
-		return units - 1, nil
-	case 'D':
-		return 2 * (units - 1), nil
-	case 'd':
-		if units == 1 {
-			return 0, ErrBadPackedString
-		}
-		return 2*(units-1) - 1, nil
-	default:
-		return 0, ErrBadPackedString
+		return 1, false, s[next:], nil
+	case 'D', 'd':
+		return 2, head == 'd', s[next:], nil
 	}
+	return 0, false, "", ErrBadPackedString
 }
 
 // ToString renders bytes [start, end) in the given encoding.

@@ -89,10 +89,10 @@ type ReconnectingWS struct {
 	// stateMu guards ws, open, and closed: all three are mutated on
 	// the event loop (dial, open/close events, Close) and read from
 	// the mux writer goroutine via Send/SendParts/Connected.
-	stateMu    sync.Mutex
-	ws         *WebSocket
-	open       bool
-	closed     bool
+	stateMu sync.Mutex
+	ws      *WebSocket
+	open    bool
+	closed  bool
 
 	everOpened bool // loop thread only
 	attempt    int  // failed dials in the current outage

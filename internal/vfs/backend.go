@@ -107,14 +107,19 @@ type Backend interface {
 	// with ENOENT when nothing is at path (a missing or non-directory
 	// parent included) and with EISDIR when path is a directory, the
 	// root and mount points included; the front end's ReadFile relies
-	// on it, with no Stat first.
+	// on it, with no Stat first. The slice it delivers belongs to the
+	// caller, which may keep and mutate it: a backend or decorator
+	// keeps no reference to it, and one that holds the contents (a
+	// cache, an in-memory tree) hands out a copy. The front end adopts
+	// the slice as a Buffer's store.
 	Open(path string, cb func([]byte, error))
 	// Sync writes back the entire contents of the file at path,
 	// creating it if necessary. It fails with ENOENT when the parent
 	// does not exist, ENOTDIR when the parent is not a directory, and
 	// EISDIR when path is a directory, the root and mount points
 	// included; the front end's WriteFile relies on it, with no Stat
-	// first. Read-only backends answer EROFS.
+	// first. Read-only backends answer EROFS. data stays the
+	// caller's; a backend that keeps the contents keeps a copy.
 	Sync(path string, data []byte, cb func(error))
 	// Unlink removes the file at path.
 	Unlink(path string, cb func(error))

@@ -179,7 +179,7 @@ func (fs *FS) Open(path, flagStr string, cb func(*FD, error)) {
 					finish(nil, err)
 					return
 				}
-				fd := newFD(fs.bufs.FromBytes(data), false)
+				fd := newFD(fs.bufs.Adopt(data), false)
 				if flag.Has(FlagAppend) {
 					fd.pos = fd.data.Len()
 				}
@@ -338,7 +338,8 @@ func (fs *FS) FTruncate(fd *FD, size int, cb func(error)) {
 // of the nine core backend methods, as §5.1 describes) ---
 
 // ReadFile loads the entire file at path in one backend call: Open
-// itself answers ENOENT or EISDIR (the Backend errno contract).
+// itself answers ENOENT or EISDIR (the Backend errno contract). The
+// Buffer adopts the slice Open delivers, which the caller owns.
 func (fs *FS) ReadFile(path string, cb func(*buffer.Buffer, error)) {
 	p := fs.resolve(path)
 	fs.note("readFile", p)
@@ -348,7 +349,7 @@ func (fs *FS) ReadFile(path string, cb func(*buffer.Buffer, error)) {
 				cb(nil, err)
 				return
 			}
-			cb(fs.bufs.FromBytes(data), nil)
+			cb(fs.bufs.Adopt(data), nil)
 		})
 	})
 }
@@ -378,8 +379,7 @@ func (fs *FS) AppendFile(path string, data []byte, cb func(error)) {
 			fs.deliverErr(cb, err)
 			return
 		}
-		combined := append(append([]byte(nil), old...), data...)
-		fs.root.Sync(p, combined, func(err error) { fs.deliverErr(cb, err) })
+		fs.root.Sync(p, append(old, data...), func(err error) { fs.deliverErr(cb, err) })
 	})
 }
 
@@ -498,9 +498,12 @@ func (fs *FS) Truncate(path string, size int, cb func(error)) {
 			fs.deliverErr(cb, err)
 			return
 		}
-		resized := make([]byte, size)
-		copy(resized, data)
-		fs.root.Sync(p, resized, func(err error) { fs.deliverErr(cb, err) })
+		if size <= len(data) {
+			data = data[:size]
+		} else {
+			data = append(data, make([]byte, size-len(data))...)
+		}
+		fs.root.Sync(p, data, func(err error) { fs.deliverErr(cb, err) })
 	})
 }
 

@@ -105,12 +105,8 @@ func (k localStorageKV) keys(cb func([]string)) {
 
 type asyncStoreKV struct{ db *browser.AsyncStore }
 
-func (k asyncStoreKV) get(key string, cb func(string, bool)) {
-	k.db.Get(key, func(v []byte, ok bool) { cb(string(v), ok) })
-}
-func (k asyncStoreKV) put(key, val string, cb func(error)) {
-	k.db.Put(key, []byte(val), cb)
-}
+func (k asyncStoreKV) get(key string, cb func(string, bool)) { k.db.Get(key, cb) }
+func (k asyncStoreKV) put(key, val string, cb func(error))   { k.db.Put(key, val, cb) }
 func (k asyncStoreKV) del(key string, cb func()) {
 	k.db.Delete(key, func(error) { cb() })
 }
